@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -299,18 +300,53 @@ void BM_PbErrorMemoized(benchmark::State& state) {
 BENCHMARK(BM_PbErrorMemoized);
 
 void BM_BuildSlotMap(benchmark::State& state) {
-  // One slot's full bit-loading pass (perturbed-SNR copy + margin ladder),
-  // the kernel behind every estimator retune.
+  // One slot's full bit-loading pass (perturbed-SNR draw + margin ladder),
+  // the kernel behind every estimator retune, rebuilt in place as retunes do.
+  // A 1.5 dB uncertainty is a converged link: all four ladder rungs run.
   Rig rig;
-  plc::ChannelEstimator est(*rig.channel, 0, 1, sim::Rng{3}, {});
+  plc::ChannelEstimator::Config cfg;
+  cfg.uncertainty_db = 1.5;
+  plc::ChannelEstimator est(*rig.channel, 0, 1, sim::Rng{3}, cfg);
   const sim::Time now = sim::days(1) + sim::hours(12);
   est.on_sound_frame(now);
+  plc::ToneMap map;
   std::uint32_t id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est.build_slot_map(2, now, 1.5, ++id));
+    est.build_slot_map(2, now, 1.5, ++id, map);
+    benchmark::DoNotOptimize(map.ble_mbps());
   }
 }
 BENCHMARK(BM_BuildSlotMap);
+
+// One slot's worth (917 carriers) of the estimator's Gaussian perturbation:
+// a fresh std::normal_distribution per draw on std::mt19937_64 — the stream
+// sim::Rng reproduces — against Rng::normal_fill. The rng/ prefix keeps them
+// out of the kernel/ speedup gate in tools/bench_compare.py.
+constexpr std::size_t kSlotCarriers = 917;
+
+void BM_RngStdNormal(benchmark::State& state) {
+  std::mt19937_64 engine{3};
+  std::vector<double> out(kSlotCarriers);
+  for (auto _ : state) {
+    for (double& v : out) v = std::normal_distribution<double>{0.0, 1.5}(engine);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kSlotCarriers);
+}
+BENCHMARK(BM_RngStdNormal)->Name("rng/std_normal/917");
+
+void BM_RngNormalFill(benchmark::State& state) {
+  sim::Rng rng{3};
+  std::vector<double> out(kSlotCarriers);
+  for (auto _ : state) {
+    rng.normal_fill(out.data(), out.size(), 0.0, 1.5);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kSlotCarriers);
+}
+BENCHMARK(BM_RngNormalFill)->Name("rng/normal_fill/917");
 
 // --- efd::obs overhead (DESIGN.md §8) -------------------------------------
 // The instrumentation's three cost tiers: enabled (relaxed RMW on a

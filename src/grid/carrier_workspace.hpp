@@ -100,9 +100,10 @@ class AlignedVec {
 /// the band's carrier count on first use and are reused afterwards.
 ///
 /// A workspace is NOT thread-safe: use one per thread (the channel layer
-/// keeps a thread_local instance for its own internal queries). Debug builds
-/// trip an assert on concurrent or reentrant use via CarrierWorkspace::Guard;
-/// release builds pay one relaxed atomic store per guarded query.
+/// borrows thread_scratch<CarrierWorkspace>() for its own internal queries).
+/// Debug builds trip an assert on concurrent or reentrant use via
+/// CarrierWorkspace::Guard; release builds pay one relaxed atomic store per
+/// guarded query.
 struct CarrierWorkspace {
   AlignedVec att_db;    ///< attenuation_db output
   AlignedVec noise_db;  ///< noise_psd_db output
@@ -144,5 +145,16 @@ struct CarrierWorkspace {
   // Unconditional member so debug and release layouts agree.
   std::atomic<bool> in_use_{false};
 };
+
+/// The calling thread's instance of a scratch type — a CarrierWorkspace, or
+/// a layer's own bundle of reusable buffers. Hot paths borrow it instead of
+/// owning per-object buffers, so scratch memory scales with threads rather
+/// than with links, and stays allocation-free once warm. Borrowers must not
+/// hold it across a call that may borrow the same type again.
+template <class Scratch>
+Scratch& thread_scratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
 
 }  // namespace efd::grid

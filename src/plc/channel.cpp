@@ -8,16 +8,6 @@
 
 namespace efd::plc {
 
-namespace {
-/// Per-thread scratch for cache-miss rebuilds and offset-shifted SNR
-/// copies: keeps the hot path allocation-free without threading a
-/// workspace through every caller.
-grid::CarrierWorkspace& scratch() {
-  thread_local grid::CarrierWorkspace ws;
-  return ws;
-}
-}  // namespace
-
 void PlcChannel::attach_station(net::StationId id, int outlet) {
   assert(outlet >= 0 && outlet < grid_.node_count());
   outlets_[id] = outlet;
@@ -63,8 +53,11 @@ PlcChannel::SnrEntry& PlcChannel::entry(net::StationId a, net::StationId b, int 
     ae.epoch = epoch;
   }
   const auto& att = ae.att_db;
+  // Cache-miss rebuilds and offset-shifted SNR copies run on per-thread
+  // scratch: allocation-free without threading a workspace through callers.
+  grid::CarrierWorkspace& ws = grid::thread_scratch<grid::CarrierWorkspace>();
   const auto noise =
-      grid_.noise_psd_db(ob, phy_.band, t, slot, phy_.tone_map_slots, scratch());
+      grid_.noise_psd_db(ob, phy_.band, t, slot, phy_.tone_map_slots, ws);
   e.snr_db.resize(att.size());
   grid::simd::active_kernels().assemble_snr_n(phy_.tx_psd_db, att.data(),
                                               noise.data(), e.snr_db.data(),
@@ -120,7 +113,7 @@ double PlcChannel::pb_error_probability(const ToneMap& tm, net::StationId a,
   EFD_COUNTER_INC("plc.channel.pberr_memo_misses");
 
   // Shift into per-thread scratch instead of copying the 917-entry vector.
-  grid::CarrierWorkspace& ws = scratch();
+  grid::CarrierWorkspace& ws = grid::thread_scratch<grid::CarrierWorkspace>();
   grid::CarrierWorkspace::Guard guard(ws);
   const double off = static_cast<double>(bucket) / 4.0;
   ws.snr_db.resize(e.snr_db.size());

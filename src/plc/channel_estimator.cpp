@@ -1,10 +1,12 @@
 #include "src/plc/channel_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <vector>
 
+#include "src/grid/carrier_workspace.hpp"
 #include "src/obs/obs.hpp"
 
 namespace efd::plc {
@@ -20,19 +22,36 @@ double ChannelEstimator::current_uncertainty_db() const {
          std::sqrt(1.0 + static_cast<double>(pb_samples_) / cfg_.uncertainty_n0);
 }
 
-ToneMap ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
-                                         std::uint32_t id) const {
+namespace {
+
+/// Per-thread retune scratch: the perturbed SNR estimate and the margin
+/// ladder's spare rungs (the first rung is built straight into the output
+/// map). Sized once per thread, not once per link.
+struct RetuneScratch {
+  static constexpr std::size_t kRungs = 4;
+  grid::AlignedVec snr_db;
+  std::array<ToneMap, kRungs - 1> spare;
+};
+
+}  // namespace
+
+void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
+                                      std::uint32_t id, ToneMap& out) const {
   const PhyParams& phy = channel_.phy();
-  const auto& static_snr = channel_.static_snr_db(tx_, rx_, slot, now);
-  snr_scratch_.assign(static_snr.begin(), static_snr.end());
-  std::vector<double>& snr = snr_scratch_;
+  const std::vector<double>& true_snr = channel_.static_snr_db(tx_, rx_, slot, now);
+  const std::size_t n = true_snr.size();
+  RetuneScratch& ws = grid::thread_scratch<RetuneScratch>();
+  ws.snr_db.resize(n);
+  double* snr = ws.snr_db.data();
   // The receiver's measurements include part of the instantaneous noise and
   // a per-carrier estimation error that shrinks with accumulated samples.
   const double offset = channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking;
   const double sigma = 0.3 * current_uncertainty_db();
-  for (double& v : snr) {
-    v -= offset;
-    if (sigma > 0.0) v += rng_.normal(0.0, sigma);
+  if (sigma > 0.0) {
+    rng_.normal_fill(snr, n, 0.0, sigma);
+    for (std::size_t i = 0; i < n; ++i) snr[i] = (true_snr[i] - offset) + snr[i];
+  } else {
+    for (std::size_t i = 0; i < n; ++i) snr[i] = true_snr[i] - offset;
   }
   // The bit loader maximizes *goodput*, rate * (1 - PBerr): on carriers
   // near a constellation threshold it can pay to load aggressively and
@@ -45,61 +64,36 @@ ToneMap ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_
   // conservative and earns its aggressiveness with samples (Fig. 16).
   const double depth =
       std::clamp(1.0 - current_uncertainty_db() / 6.0, 0.0, 1.0);
-  const auto& true_snr = channel_.static_snr_db(tx_, rx_, slot, now);
-  ToneMap best;
-  double best_score = -1.0;
-  double best_expected = 0.0;
+  // A rung whose margin equals the previous one loads the same map and
+  // scores the same, so it can never win (the comparison is strict): skip
+  // it. At zero depth the whole ladder is one rung.
+  std::array<double, RetuneScratch::kRungs> margins{};
+  std::array<ToneMap*, RetuneScratch::kRungs> rungs{};
+  std::size_t n_rungs = 0;
   for (double m : {margin_db, margin_db - 1.5 * depth, margin_db - 3.0 * depth,
                    margin_db - 4.5 * depth}) {
-    ToneMap candidate = ToneMap::from_snr(snr, m, phy, 0.0, id);
+    if (n_rungs > 0 && m == margins[n_rungs - 1]) continue;
+    margins[n_rungs] = m;
+    rungs[n_rungs] = n_rungs == 0 ? &out : &ws.spare[n_rungs - 1];
+    ++n_rungs;
+  }
+  ToneMap::from_snr_ladder({snr, n}, {margins.data(), n_rungs}, phy, id,
+                           {rungs.data(), n_rungs});
+  std::size_t best = 0;
+  double best_score = -1.0;
+  double best_expected = 0.0;
+  for (std::size_t k = 0; k < n_rungs; ++k) {
     const double expected =
-        std::min(candidate.pb_error_probability(true_snr, phy), 0.45);
-    const double score = candidate.phy_rate_mbps() * (1.0 - expected);
+        std::min(rungs[k]->pb_error_probability(true_snr, phy), 0.45);
+    const double score = rungs[k]->phy_rate_mbps() * (1.0 - expected);
     if (score > best_score) {
       best_score = score;
       best_expected = expected;
-      best = std::move(candidate);
+      best = k;
     }
   }
-  return ToneMap::from_carriers(best.carriers(), phy, best_expected, id);
-}
-
-namespace {
-
-Modulation demote(Modulation m) {
-  switch (m) {
-    case Modulation::kQam1024: return Modulation::kQam256;
-    case Modulation::kQam256: return Modulation::kQam64;
-    case Modulation::kQam64: return Modulation::kQam16;
-    case Modulation::kQam16: return Modulation::kQam8;
-    case Modulation::kQam8: return Modulation::kQpsk;
-    case Modulation::kQpsk: return Modulation::kBpsk;
-    default: return Modulation::kOff;
-  }
-}
-
-}  // namespace
-
-void ChannelEstimator::clamp_to_rate(ToneMap& map, double rate_mbps,
-                                     const PhyParams& phy, std::uint32_t id) {
-  if (map.ble_mbps() <= rate_mbps) return;
-  // With single-PB, single-symbol frames, spare rate buys no airtime — only
-  // errors. Demote carriers one constellation step at a time (round-robin
-  // passes) until the BLE lands at the single-symbol rate.
-  std::vector<Modulation> carriers = map.carriers();
-  const double bits_target = rate_mbps * phy.symbol.us() /
-                             (phy.fec_rate * (1.0 - map.expected_pberr()));
-  double bits = 0.0;
-  for (Modulation m : carriers) bits += bits_per_symbol(m);
-  for (int pass = 0; pass < kModulationCount && bits > bits_target; ++pass) {
-    for (Modulation& m : carriers) {
-      if (bits <= bits_target) break;
-      const Modulation lower = demote(m);
-      bits -= bits_per_symbol(m) - bits_per_symbol(lower);
-      m = lower;
-    }
-  }
-  map = ToneMap::from_carriers(std::move(carriers), phy, map.expected_pberr(), id);
+  if (best != 0) out = *rungs[best];
+  out.set_expected_pberr(best_expected);
 }
 
 void ChannelEstimator::retune(sim::Time now, bool error_triggered) {
@@ -124,18 +118,16 @@ void ChannelEstimator::retune(sim::Time now, bool error_triggered) {
       cfg_.base_margin_db + current_uncertainty_db() + panic_margin_db_;
   margin_at_last_retune_ = margin;
 
-  maps_.slots.clear();
-  maps_.slots.reserve(static_cast<std::size_t>(phy.tone_map_slots));
+  // Rebuilt in place: once a link has maps, a retune allocates nothing.
+  maps_.slots.resize(static_cast<std::size_t>(phy.tone_map_slots));
   const bool clamp =
       pbs_per_frame_ewma_ <= cfg_.clamp_pb_threshold && pb_samples_ > 50;
   double expected_sum = 0.0;
   for (int s = 0; s < phy.tone_map_slots; ++s) {
-    ToneMap tm = build_slot_map(s, now, margin, next_id_++);
-    if (clamp) {
-      clamp_to_rate(tm, phy.single_pb_symbol_rate_mbps(), phy, next_id_++);
-    }
+    ToneMap& tm = maps_.slots[static_cast<std::size_t>(s)];
+    build_slot_map(s, now, margin, next_id_++, tm);
+    if (clamp) tm.clamp_to_rate(phy.single_pb_symbol_rate_mbps(), next_id_++);
     expected_sum += tm.expected_pberr();
-    maps_.slots.push_back(std::move(tm));
   }
   expected_pberr_ = expected_sum / phy.tone_map_slots;
   has_maps_ = true;

@@ -112,16 +112,16 @@ class ChannelEstimator {
   [[nodiscard]] sim::Time last_update() const { return last_update_; }
 
   /// One slot's bit-loading pass: perturbed-SNR measurement plus the
-  /// goodput-maximizing margin ladder. Public so the micro benches can time
-  /// the kernel in isolation; simulation code goes through retunes.
-  [[nodiscard]] ToneMap build_slot_map(int slot, sim::Time now, double margin_db,
-                                       std::uint32_t id) const;
+  /// goodput-maximizing margin ladder, rebuilt into `out` in place. The
+  /// ladder runs on per-thread scratch, so a warm call allocates nothing.
+  /// Public so the micro benches can time the kernel in isolation;
+  /// simulation code goes through retunes.
+  void build_slot_map(int slot, sim::Time now, double margin_db, std::uint32_t id,
+                      ToneMap& out) const;
 
  private:
   void retune(sim::Time now, bool error_triggered);
   [[nodiscard]] double current_uncertainty_db() const;
-  static void clamp_to_rate(ToneMap& map, double rate_mbps, const PhyParams& phy,
-                            std::uint32_t id);
 
   const PlcChannel& channel_;
   net::StationId tx_;
@@ -150,9 +150,6 @@ class ChannelEstimator {
   double margin_at_last_retune_ = 0.0;
   double symbols_per_frame_ewma_ = 10.0;
   double pbs_per_frame_ewma_ = 10.0;
-  /// Perturbed-SNR scratch reused across build_slot_map calls (estimators
-  /// are per-link, so no aliasing between links).
-  mutable std::vector<double> snr_scratch_;
 };
 
 }  // namespace efd::plc

@@ -49,13 +49,39 @@ inline constexpr std::array<int, kModulationCount> kBitsPerSymbol = {
 /// contribute nothing to the reduction — no branch needed.
 [[nodiscard]] grid::simd::InterpTableView ber_lut_view();
 
-/// Minimum carrier SNR (dB) at which the bit-loader selects `m`, assuming
-/// the standard's rate-16/21 turbo FEC. Calibrated so that operating at the
-/// threshold leaves a small residual PB error rate, as HPAV does.
-[[nodiscard]] double required_snr_db(Modulation m);
+/// Minimum carrier SNR (dB) at which the bit-loader selects each
+/// constellation, indexed by Modulation: net thresholds after the ~7 dB
+/// coding gain of the standard's rate-16/21 turbo FEC, calibrated so that
+/// operating at the threshold leaves a small residual PB error rate, as
+/// HPAV does. Strictly increasing with the enumerator.
+inline constexpr std::array<double, kModulationCount> kRequiredSnrDb = {
+    -1e9,  // kOff
+    2.0,   // kBpsk
+    5.0,   // kQpsk
+    8.5,   // kQam8
+    11.5,  // kQam16
+    17.5,  // kQam64
+    23.5,  // kQam256
+    29.5,  // kQam1024
+};
 
-/// Largest constellation whose threshold is at or below `snr_db`.
-[[nodiscard]] Modulation pick_modulation(double snr_db);
+/// Minimum carrier SNR (dB) at which the bit-loader selects `m`.
+[[nodiscard]] constexpr double required_snr_db(Modulation m) {
+  return kRequiredSnrDb[static_cast<std::size_t>(m)];
+}
+
+/// Largest constellation whose threshold is at or below `snr_db`. The
+/// thresholds increase with the enumerator, so that is the number of
+/// thresholds above kOff's that `snr_db` clears: a branch-free count, which
+/// keeps the bit loader's carrier sweep free of unpredictable branches. NaN
+/// clears none and loads nothing.
+[[nodiscard]] constexpr Modulation pick_modulation(double snr_db) {
+  int m = 0;
+  for (std::size_t k = 1; k < kModulationCount; ++k) {
+    m += snr_db >= kRequiredSnrDb[k] ? 1 : 0;
+  }
+  return static_cast<Modulation>(m);
+}
 
 /// Approximate uncoded bit-error rate of `m` at the given carrier SNR.
 /// Standard Gray-coded square-QAM approximation; used to derive PB error

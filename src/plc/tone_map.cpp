@@ -40,6 +40,10 @@ void ToneMap::recompute() {
     bits_[i] = static_cast<double>(b);
     lut_rows_[i] = static_cast<std::int32_t>(carriers_[i]) * row_len;
   }
+  set_totals(bits);
+}
+
+void ToneMap::set_totals(double bits) {
   bits /= robo_repetitions_;
   bits_per_symbol_ = bits;
   phy_rate_mbps_ = bits * fec_rate_ / symbol_us_;
@@ -50,16 +54,47 @@ ToneMap ToneMap::from_snr(std::span<const double> snr_db, double margin_db,
                           const PhyParams& phy, double expected_pberr,
                           std::uint32_t id) {
   ToneMap tm;
-  tm.fec_rate_ = phy.fec_rate;
-  tm.symbol_us_ = phy.symbol.us();
-  tm.expected_pberr_ = expected_pberr;
-  tm.id_ = id;
-  tm.carriers_.reserve(snr_db.size());
-  for (double snr : snr_db) {
-    tm.carriers_.push_back(pick_modulation(snr - margin_db));
-  }
-  tm.recompute();
+  ToneMap* const out = &tm;
+  from_snr_ladder(snr_db, {&margin_db, 1}, phy, id, {&out, 1});
+  tm.set_expected_pberr(expected_pberr);
   return tm;
+}
+
+void ToneMap::from_snr_ladder(std::span<const double> snr_db,
+                              std::span<const double> margins_db, const PhyParams& phy,
+                              std::uint32_t id, std::span<ToneMap* const> out) {
+  EFD_PROF_SCOPE("plc.tonemap_recompute");
+  assert(margins_db.size() == out.size());
+  const std::size_t n = snr_db.size();
+  const double* snr = snr_db.data();
+  const std::int32_t row_len = ber_lut_view().size;
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    ToneMap& tm = *out[k];
+    tm.fec_rate_ = phy.fec_rate;
+    tm.symbol_us_ = phy.symbol.us();
+    tm.expected_pberr_ = 0.0;
+    tm.id_ = id;
+    tm.robo_repetitions_ = 1;
+    tm.carriers_.resize(n);
+    tm.lut_rows_.resize(n);
+    tm.bits_.resize(n);
+    Modulation* carriers = tm.carriers_.data();
+    std::int32_t* rows = tm.lut_rows_.data();
+    double* weights = tm.bits_.data();
+    const double margin = margins_db[k];
+    // Integer bit total: every partial sum is exact, so it equals the
+    // double accumulation recompute() performs.
+    std::int64_t bits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Modulation m = pick_modulation(snr[i] - margin);
+      const int b = efd::plc::bits_per_symbol(m);
+      bits += b;
+      carriers[i] = m;
+      weights[i] = static_cast<double>(b);
+      rows[i] = static_cast<std::int32_t>(m) * row_len;
+    }
+    tm.set_totals(static_cast<double>(bits));
+  }
 }
 
 ToneMap ToneMap::from_carriers(std::vector<Modulation> carriers, const PhyParams& phy,
@@ -85,6 +120,40 @@ ToneMap ToneMap::robo(const PhyParams& phy, const RoboMode& robo) {
                       Modulation::kQpsk);
   tm.recompute();
   return tm;
+}
+
+namespace {
+
+Modulation demote(Modulation m) {
+  switch (m) {
+    case Modulation::kQam1024: return Modulation::kQam256;
+    case Modulation::kQam256: return Modulation::kQam64;
+    case Modulation::kQam64: return Modulation::kQam16;
+    case Modulation::kQam16: return Modulation::kQam8;
+    case Modulation::kQam8: return Modulation::kQpsk;
+    case Modulation::kQpsk: return Modulation::kBpsk;
+    default: return Modulation::kOff;
+  }
+}
+
+}  // namespace
+
+void ToneMap::clamp_to_rate(double rate_mbps, std::uint32_t id) {
+  assert(!is_robo());
+  if (ble_mbps_ <= rate_mbps) return;
+  const double bits_target =
+      rate_mbps * symbol_us_ / (fec_rate_ * (1.0 - expected_pberr_));
+  double bits = bits_per_symbol_;
+  for (int pass = 0; pass < kModulationCount && bits > bits_target; ++pass) {
+    for (Modulation& m : carriers_) {
+      if (bits <= bits_target) break;
+      const Modulation lower = demote(m);
+      bits -= efd::plc::bits_per_symbol(m) - efd::plc::bits_per_symbol(lower);
+      m = lower;
+    }
+  }
+  id_ = id;
+  recompute();
 }
 
 double ToneMap::pb_error_probability(std::span<const double> actual_snr_db,

@@ -25,8 +25,16 @@ class ToneMap {
                           const PhyParams& phy, double expected_pberr,
                           std::uint32_t id);
 
-  /// Build from an explicit per-carrier assignment (used by the estimator's
-  /// rate clamping, which demotes individual carriers).
+  /// Bit-load one SNR estimate at several margins, the estimator's margin
+  /// ladder (ChannelEstimator::build_slot_map): `*out[k]` is rebuilt in
+  /// place, reusing its buffers, into what `from_snr(snr_db, margins_db[k],
+  /// phy, 0.0, id)` returns. Each rung is one pass over the carriers that
+  /// writes the carriers and both SoA mirrors directly.
+  static void from_snr_ladder(std::span<const double> snr_db,
+                              std::span<const double> margins_db, const PhyParams& phy,
+                              std::uint32_t id, std::span<ToneMap* const> out);
+
+  /// Build from an explicit per-carrier assignment.
   static ToneMap from_carriers(std::vector<Modulation> carriers, const PhyParams& phy,
                                double expected_pberr, std::uint32_t id);
 
@@ -44,6 +52,18 @@ class ToneMap {
   [[nodiscard]] double bits_per_symbol() const { return bits_per_symbol_; }
 
   [[nodiscard]] double expected_pberr() const { return expected_pberr_; }
+  /// Replace the expected PB error rate, and with it the BLE of Eq. (1).
+  void set_expected_pberr(double expected_pberr) {
+    expected_pberr_ = expected_pberr;
+    ble_mbps_ = phy_rate_mbps_ * (1.0 - expected_pberr_);
+  }
+
+  /// Single-PB, single-symbol probes buy no airtime with spare rate, only
+  /// errors (Fig. 18): demote carriers one constellation step at a time, in
+  /// round-robin passes, until the BLE lands at `rate_mbps`, and take the
+  /// new `id`. In place; a map already at or below the rate is untouched.
+  void clamp_to_rate(double rate_mbps, std::uint32_t id);
+
   [[nodiscard]] std::uint32_t id() const { return id_; }
   [[nodiscard]] bool is_robo() const { return robo_repetitions_ > 1; }
   [[nodiscard]] int robo_repetitions() const { return robo_repetitions_; }
@@ -82,6 +102,9 @@ class ToneMap {
   double ble_mbps_ = 0.0;
 
   void recompute();
+  /// Derive bits_per_symbol_/phy_rate_mbps_/ble_mbps_ from the carriers'
+  /// summed bit loading.
+  void set_totals(double bits);
 };
 
 /// The up-to-7 tone maps of a link direction: one per tone-map slot of the

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <limits>
@@ -262,14 +263,13 @@ void ShardedSimulator::watch(const std::stop_token& st,
         s.horizon.load(std::memory_order_acquire),
         s.beats.load(std::memory_order_relaxed), start};
   }
+  // The stop-token wait wakes the moment run_until calls request_stop(), so
+  // the join that ends every run does not wait out a poll period.
+  std::mutex mutex;
+  std::condition_variable_any wake;
+  std::unique_lock lock(mutex);
   while (!st.stop_requested()) {
-    // Sleep in small slices so request_stop() is honored promptly.
-    std::int64_t slept = 0;
-    while (slept < poll && !st.stop_requested()) {
-      const std::int64_t slice = std::min<std::int64_t>(poll - slept, 10'000'000);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(slice));
-      slept += slice;
-    }
+    wake.wait_for(lock, st, std::chrono::nanoseconds(poll), [] { return false; });
     if (st.stop_requested()) return;
     const std::int64_t now = wall_ns();
     bool all_done = true;

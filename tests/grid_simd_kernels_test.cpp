@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,15 @@
 #include "src/plc/phy.hpp"
 #include "src/plc/tone_map.hpp"
 #include "src/sim/rng.hpp"
+
+namespace efd::grid::simd {
+
+// Print a kernel table by name, not by address: gtest lists the parameter
+// next to each test, and ctest bakes that listing into the test names, so
+// an address would give the sweep different names on every run.
+void PrintTo(const CarrierKernels* k, std::ostream* os) { *os << k->name; }
+
+}  // namespace efd::grid::simd
 
 namespace efd {
 namespace {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 namespace efd::plc {
 namespace {
 
@@ -42,6 +46,28 @@ TEST(Modulation, PickBelowBpskIsOff) {
 
 TEST(Modulation, PickVeryHighSnrIsMaxConstellation) {
   EXPECT_EQ(pick_modulation(60.0), Modulation::kQam1024);
+}
+
+TEST(Modulation, PickMatchesTopDownThresholdScan) {
+  // The branch-free threshold count against the plain scan from the top
+  // constellation down: a dense sweep, each threshold and its neighbouring
+  // doubles, infinities and NaN.
+  const auto scan = [](double snr) {
+    for (std::size_t i = std::size(kLadder) - 1; i > 0; --i) {
+      if (snr >= required_snr_db(kLadder[i])) return kLadder[i];
+    }
+    return Modulation::kOff;
+  };
+  std::vector<double> snrs = {-std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN(), -2e9, 0.0,
+                              -0.0};
+  for (int i = -2000; i <= 4000; ++i) snrs.push_back(i * 0.01);
+  for (Modulation m : kLadder) {
+    const double t = required_snr_db(m);
+    snrs.insert(snrs.end(), {t, std::nextafter(t, -1e300), std::nextafter(t, 1e300)});
+  }
+  for (double snr : snrs) EXPECT_EQ(pick_modulation(snr), scan(snr)) << snr;
 }
 
 class PickSweep : public ::testing::TestWithParam<double> {};

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "src/sim/stats.hpp"
 
 namespace efd::sim {
@@ -177,6 +185,154 @@ TEST(Rng, SiblingStreamsAreSeriallyUncorrelated) {
   const double r = cov / std::sqrt(var_a * var_b);
   // |r| for independent streams is O(1/sqrt(n)) ~ 0.007; allow 4x.
   EXPECT_LT(std::abs(r), 0.03);
+}
+
+// --- Stream contract: bit-equal to the standard library -------------------
+// Rng promises the streams of std::mt19937_64 + the libstdc++ distributions
+// (one fresh distribution per draw). Every check below compares against the
+// installed standard library at run time; the only hard-coded stream value
+// is the standard's own known answer for mt19937_64.
+
+constexpr std::uint64_t kSeeds[] = {0ULL, 1ULL, 5489ULL, 0xdeadbeefULL, ~0ULL};
+
+/// A few root streams and some of their forks.
+std::vector<Rng> streams() {
+  std::vector<Rng> out;
+  for (std::uint64_t s : kSeeds) {
+    const Rng root{s};
+    out.push_back(root);
+    for (std::uint64_t k : {0ULL, 1ULL, 17ULL}) out.push_back(root.fork(k));
+  }
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(RngStream, EngineMatchesStdMt19937_64) {
+  // 2000 outputs span six twists of the 312-word state.
+  std::vector<std::uint64_t> seeds(std::begin(kSeeds), std::end(kSeeds));
+  for (const Rng& r : streams()) seeds.push_back(r.engine_seed());
+  for (std::uint64_t seed : seeds) {
+    Mt19937_64 ours{seed};
+    std::mt19937_64 ref{seed};
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << " output " << i;
+    }
+  }
+}
+
+TEST(RngStream, EngineKnownAnswer) {
+  // C++ [rand.predef]: the 10000th output of a default-seeded (5489)
+  // mt19937_64 is 9981545732273789042.
+  Mt19937_64 engine{5489};
+  for (int i = 1; i < 10000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+/// A URBG that returns one fixed 64-bit output.
+struct FixedBits {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type value;
+  result_type operator()() { return value; }
+};
+
+TEST(RngStream, CanonicalMatchesGenerateCanonical) {
+  // Edges of the conversion: zero, the 53-bit boundary, round-to-even ties,
+  // and the top 2^10 outputs that round up to 1.0 and must be clamped.
+  constexpr std::uint64_t kP53 = 1ULL << 53;
+  constexpr std::uint64_t kHalf = 1ULL << 63;
+  constexpr std::uint64_t kTop = ~0ULL;
+  std::vector<std::uint64_t> us = {0, 1, kP53 - 1, kP53, kP53 + 1};
+  us.insert(us.end(), {kHalf + 1024, kHalf + 1025, kHalf + 3072});
+  us.insert(us.end(), {kTop - 1024, kTop - 1023, kTop - 512, kTop});
+  Mt19937_64 engine{99};
+  for (int i = 0; i < 5000; ++i) us.push_back(engine());
+  for (std::uint64_t u : us) {
+    FixedBits g{u};
+    const double want =
+        std::generate_canonical<double, std::numeric_limits<double>::digits>(g);
+    ASSERT_EQ(bits(Rng::canonical(u)), bits(want)) << "u " << u;
+    ASSERT_LT(Rng::canonical(u), 1.0);
+  }
+}
+
+/// n draws from a fresh std::normal_distribution each: the stream
+/// Rng::normal and Rng::normal_fill promise.
+std::vector<double> std_normals(std::mt19937_64& ref, std::size_t n, double mean,
+                                double sd) {
+  std::vector<double> out(n);
+  for (double& v : out) v = std::normal_distribution<double>{mean, sd}(ref);
+  return out;
+}
+
+constexpr double kSigmas[] = {1e-300, 1e-9, 0.3, 1.0, 3.6, 250.0};
+
+TEST(RngStream, NormalMatchesFreshStdDistribution) {
+  for (Rng rng : streams()) {
+    std::mt19937_64 ref{rng.engine_seed()};
+    for (double sd : kSigmas) {
+      for (double mean : {0.0, -7.25}) {
+        for (double want : std_normals(ref, 300, mean, sd)) {
+          ASSERT_EQ(bits(rng.normal(mean, sd)), bits(want))
+              << "sd " << sd << " mean " << mean;
+        }
+      }
+    }
+  }
+}
+
+TEST(RngStream, NormalFillMatchesFreshStdDistribution) {
+  // Lengths around the fill's internal block size and one slot's carriers;
+  // consecutive fills and a trailing normal() continue the same stream.
+  for (Rng rng : streams()) {
+    std::mt19937_64 ref{rng.engine_seed()};
+    for (double sd : kSigmas) {
+      for (std::size_t n : {0, 1, 63, 64, 65, 128, 917}) {
+        std::vector<double> got(n);
+        rng.normal_fill(got.data(), n, 1.5, sd);
+        const std::vector<double> want = std_normals(ref, n, 1.5, sd);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(bits(got[i]), bits(want[i]))
+              << "sd " << sd << " n " << n << " i " << i;
+        }
+      }
+      ASSERT_EQ(bits(rng.normal(0.0, sd)), bits(std_normals(ref, 1, 0.0, sd)[0]));
+    }
+  }
+}
+
+TEST(RngStream, OtherDistributionsMatchStd) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  for (Rng rng : streams()) {
+    std::mt19937_64 ref{rng.engine_seed()};
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(bits(rng.uniform()),
+                bits(std::uniform_real_distribution<double>{0.0, 1.0}(ref)));
+      ASSERT_EQ(bits(rng.uniform(-3.0, 5.5)),
+                bits(std::uniform_real_distribution<double>{-3.0, 5.5}(ref)));
+      ASSERT_EQ(rng.uniform_int(0, 7),
+                (std::uniform_int_distribution<std::int64_t>{0, 7}(ref)));
+      ASSERT_EQ(rng.uniform_int(-1'000'000'007, 3),
+                (std::uniform_int_distribution<std::int64_t>{-1'000'000'007, 3}(ref)));
+      ASSERT_EQ(rng.uniform_int(kMin, kMax),
+                (std::uniform_int_distribution<std::int64_t>{kMin, kMax}(ref)));
+      for (double p : {1e-6, 0.03, 0.5, 0.97}) {
+        ASSERT_EQ(rng.bernoulli(p), std::bernoulli_distribution{p}(ref)) << "p " << p;
+      }
+      for (double mean : {0.25, 4.0, 1e4}) {
+        ASSERT_EQ(bits(rng.exponential_mean(mean)),
+                  bits(std::exponential_distribution<double>{1.0 / mean}(ref)));
+      }
+      for (double sigma_log : {0.05, 0.3, 1.2}) {
+        const double mu = std::log(5.0) - 0.5 * sigma_log * sigma_log;
+        ASSERT_EQ(bits(rng.lognormal(5.0, sigma_log)),
+                  bits(std::lognormal_distribution<double>{mu, sigma_log}(ref)));
+      }
+    }
+  }
 }
 
 }  // namespace

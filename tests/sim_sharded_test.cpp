@@ -6,6 +6,7 @@
 // alloc_count.hpp).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -364,6 +365,32 @@ TEST(ShardedSimulator, RequestAbortStopsARunCooperatively) {
   engine.reset();
   EXPECT_FALSE(engine.abort_requested());
   engine.run_until(milliseconds(5));
+}
+
+TEST(ShardedSimulator, WatchdogStopsPromptlyWhenTheRunEnds) {
+  // Each run_until starts a watchdog and joins it at the end. Every run
+  // below blocks for 2 ms of wall clock in a cell (sleeping, so even a
+  // single-core host schedules the watchdog), so the watchdog is already
+  // waiting out its poll period when the run ends; the join must wake it
+  // instead of waiting. 100 runs then take ~0.2 s, where a watchdog
+  // sleeping in 10 ms slices costs ~1 s.
+  ShardedSimulator::Config cfg;
+  cfg.n_cells = 1;
+  cfg.n_shards = 1;
+  cfg.watchdog.budget_ns = 10'000'000'000;
+  ShardedSimulator engine(std::move(cfg));
+  int ticks = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 1; i <= 100; ++i) {
+    engine.cell_sim(0).after_inline(microseconds(500), [&ticks] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ++ticks;
+    });
+    engine.run_until(milliseconds(i));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(ticks, 100);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(600));
 }
 
 TEST(ShardedSimulator, CellExceptionPropagatesWithoutHanging) {
