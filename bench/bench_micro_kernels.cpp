@@ -348,6 +348,51 @@ void BM_RngNormalFill(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNormalFill)->Name("rng/normal_fill/917");
 
+// The uniforms behind one slot's perturbation (917 polar draws at 8/pi
+// uniforms each), drawn through the engine's block fill on the EFD_SIMD entry.
+void BM_RngUniformBlock(benchmark::State& state) {
+  constexpr std::size_t kUniforms = 2336;
+  sim::Mt19937_64 engine{3};
+  const sim::Mt19937_64::SignedFill fill = sim::Mt19937_64::active_signed_fill();
+  std::vector<double> out(kUniforms);
+  for (auto _ : state) {
+    fill(engine, out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kUniforms);
+}
+BENCHMARK(BM_RngUniformBlock)->Name("rng/uniform_block/2336");
+
+// One margin-ladder rung's bit loading over a slot's carriers, per carrier
+// kernel entry that has its own bit loader. Outside the kernel/ prefix, so
+// the CI speedup gate ignores it.
+const bool kLadderBenchesRegistered = [] {
+  const auto snr = std::make_shared<std::vector<double>>(kSlotCarriers);
+  sim::Rng rng{5};
+  for (double& v : *snr) v = rng.uniform(-5.0, 35.0);
+  for (const grid::simd::CarrierKernels* k : grid::simd::available_kernels()) {
+    if (k != &grid::simd::scalar_kernels() &&
+        k->bit_load_n == grid::simd::scalar_kernels().bit_load_n) {
+      continue;
+    }
+    const std::string name = std::string("ladder/pick/") + k->name + "/917";
+    benchmark::RegisterBenchmark(name.c_str(), [k, snr](benchmark::State& state) {
+      std::vector<std::uint8_t> level(kSlotCarriers);
+      std::vector<std::int32_t> rows(kSlotCarriers);
+      std::vector<double> bits(kSlotCarriers);
+      for (auto _ : state) {
+        benchmark::DoNotOptimize(k->bit_load_n(plc::bit_load_table(), snr->data(), 1.5,
+                                               kSlotCarriers, level.data(),
+                                               rows.data(), bits.data()));
+        benchmark::ClobberMemory();
+      }
+      state.SetItemsProcessed(state.iterations() * kSlotCarriers);
+    });
+  }
+  return true;
+}();
+
 // --- efd::obs overhead (DESIGN.md §8) -------------------------------------
 // The instrumentation's three cost tiers: enabled (relaxed RMW on a
 // thread-local shard), runtime-disabled (one relaxed load + branch — what

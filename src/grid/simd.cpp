@@ -1,10 +1,10 @@
 #include "src/grid/simd.hpp"
 
 #include <array>
-#include <cstdlib>
 
 #include "src/grid/db_units.hpp"
 #include "src/obs/obs.hpp"
+#include "src/sim/isa.hpp"
 
 namespace efd::grid::simd {
 
@@ -84,6 +84,35 @@ void s_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
   *total_bits = tb;
 }
 
+}  // namespace
+
+namespace detail {
+std::int64_t bit_load_n_scalar(const BitLoadTable& table, const double* snr_db,
+                               double margin_db, std::size_t n, std::uint8_t* level,
+                               std::int32_t* row_off, double* bits) {
+  // A local copy: the byte stores below may alias the table, which would
+  // otherwise force a reload of every threshold per carrier.
+  const BitLoadTable t = table;
+  const auto& th = t.thresholds;
+  static_assert(BitLoadTable::kLevels == 8, "one compare per threshold below");
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = snr_db[i] - margin_db;
+    const int m = int{x >= th[0]} + int{x >= th[1]} + int{x >= th[2]} +
+                  int{x >= th[3]} + int{x >= th[4]} + int{x >= th[5]} +
+                  int{x >= th[6]};
+    const std::int32_t b = t.bits[static_cast<std::size_t>(m)];
+    total += b;
+    level[i] = static_cast<std::uint8_t>(m);
+    row_off[i] = m * t.row_len;
+    bits[i] = static_cast<double>(b);
+  }
+  return total;
+}
+}  // namespace detail
+
+namespace {
+
 constexpr CarrierKernels kScalar = {
     "scalar",
     &s_db_to_linear_n,
@@ -95,6 +124,7 @@ constexpr CarrierKernels kScalar = {
     &s_shift_n,
     &s_sum_db_to_linear_n,
     &s_ber_weighted_sum_n,
+    &detail::bit_load_n_scalar,
 };
 
 }  // namespace
@@ -117,13 +147,8 @@ const CarrierKernels* neon_kernels_impl();
 
 const CarrierKernels* avx2_kernels() {
 #if defined(__x86_64__) || defined(_M_X64)
-  static const CarrierKernels* k = []() -> const CarrierKernels* {
-    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
-      return nullptr;
-    }
-    return detail::avx2_kernels_impl();
-  }();
-  return k;
+  return sim::isa::available(sim::isa::Level::kAvx2) ? detail::avx2_kernels_impl()
+                                                     : nullptr;
 #else
   return nullptr;
 #endif
@@ -150,26 +175,19 @@ std::span<const CarrierKernels* const> available_kernels() {
 }
 
 namespace {
-/// Best available entry: the widest vector unit wins; scalar is the floor.
-const CarrierKernels& best_kernels() {
-  if (const CarrierKernels* k = avx2_kernels()) return *k;
-  if (const CarrierKernels* k = neon_kernels()) return *k;
+/// The entry of a level sim::isa reports available.
+const CarrierKernels& kernels_for(sim::isa::Level level) {
+  switch (level) {
+    case sim::isa::Level::kAvx2: return *avx2_kernels();
+    case sim::isa::Level::kNeon: return *neon_kernels();
+    case sim::isa::Level::kScalar: break;
+  }
   return kScalar;
 }
 }  // namespace
 
 const CarrierKernels& select_kernels(std::string_view want) {
-  if (want == "scalar") return kScalar;
-  if (want == "avx2") {
-    if (const CarrierKernels* k = avx2_kernels()) return *k;
-    return best_kernels();
-  }
-  if (want == "neon") {
-    if (const CarrierKernels* k = neon_kernels()) return *k;
-    return best_kernels();
-  }
-  // "auto", "", and anything unrecognized: take the best this machine has.
-  return best_kernels();
+  return kernels_for(sim::isa::resolve(want));
 }
 
 int impl_index(const CarrierKernels& k) {
@@ -179,10 +197,7 @@ int impl_index(const CarrierKernels& k) {
 }
 
 const CarrierKernels& active_kernels() {
-  static const CarrierKernels& k = []() -> const CarrierKernels& {
-    const char* env = std::getenv("EFD_SIMD");
-    return select_kernels(env != nullptr ? env : "auto");
-  }();
+  static const CarrierKernels& k = kernels_for(sim::isa::active());
   // Record the chosen code path so every BENCH_*.json / --metrics snapshot
   // names what it measured (0 scalar, 1 avx2, 2 neon). Re-asserted on every
   // call (one relaxed store per batch query) so the gauge survives metric

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -17,6 +18,16 @@ struct InterpTableView {
   std::int32_t size = 0;
   double min_db = 0.0;
   double step_db = 1.0;
+};
+
+/// The bit loader's constellation table (plc::kRequiredSnrDb,
+/// plc::kBitsPerSymbol) in the layout bit_load_n takes: level 0 is "off",
+/// level m >= 1 needs an SNR of at least thresholds[m - 1].
+struct BitLoadTable {
+  static constexpr std::size_t kLevels = 8;
+  std::array<double, kLevels - 1> thresholds{};  ///< strictly increasing
+  std::array<std::int32_t, kLevels> bits{};      ///< bit weight per level
+  std::int32_t row_len = 0;  ///< BER-LUT row length: row offset = level * row_len
 };
 
 /// One interchangeable set of *batch* carrier-domain kernels — the
@@ -42,11 +53,20 @@ struct InterpTableView {
 ///  - ber_weighted_sum_n: per element, row = row_off[i] (premultiplied row
 ///    index * lut.size), clamped-lerp lookup of lut at snr[i] + gain_db,
 ///    then *weighted_ber += value * bits[i], *total_bits += bits[i].
+///  - bit_load_n:       per element, level[i] = the number of table
+///    thresholds that snr_db[i] - margin_db is at or above (NaN clears
+///    none), row_off[i] = level[i] * table.row_len, bits[i] =
+///    table.bits[level[i]]; returns the sum of the bit weights. One rung of
+///    the estimator's margin ladder (plc::ToneMap::from_snr_ladder).
 ///
-/// The scalar entry reproduces the PR 1 fast-path loops operation for
-/// operation (bit-identical figures under EFD_SIMD=scalar); vector entries
-/// may reassociate sums and use FMA, and are gated by the DiffRunner
-/// tolerance contract instead (DESIGN.md §11/§12).
+/// Two contract classes. The float kernels above: the scalar entry
+/// reproduces the original fast-path loops operation for operation
+/// (bit-identical figures under EFD_SIMD=scalar); vector entries may
+/// reassociate sums and use FMA, and are gated by the DiffRunner tolerance
+/// contract instead (DESIGN.md §11/§12). bit_load_n is exact: every entry
+/// must return and write exactly what the scalar entry does, for every
+/// input including NaN, infinities and signed zeros, so switching entries
+/// never changes a tone map.
 struct CarrierKernels {
   const char* name;
   void (*db_to_linear_n)(const double* db, double* out, std::size_t n);
@@ -65,7 +85,18 @@ struct CarrierKernels {
                              const std::int32_t* row_off, const double* bits,
                              const double* snr_db, double gain_db, std::size_t n,
                              double* weighted_ber, double* total_bits);
+  std::int64_t (*bit_load_n)(const BitLoadTable& table, const double* snr_db,
+                             double margin_db, std::size_t n, std::uint8_t* level,
+                             std::int32_t* row_off, double* bits);
 };
+
+namespace detail {
+/// The scalar entry's bit_load_n. Vector entries finish their tails with
+/// it; an entry without a vector version of it points here.
+std::int64_t bit_load_n_scalar(const BitLoadTable& table, const double* snr_db,
+                               double margin_db, std::size_t n, std::uint8_t* level,
+                               std::int32_t* row_off, double* bits);
+}  // namespace detail
 
 /// The portable scalar entry (always available).
 [[nodiscard]] const CarrierKernels& scalar_kernels();
@@ -81,14 +112,15 @@ struct CarrierKernels {
 /// DiffRunner tolerance contract.
 [[nodiscard]] std::span<const CarrierKernels* const> available_kernels();
 
-/// Pure selection logic (unit-testable): resolve an EFD_SIMD-style request
-/// ("scalar" | "avx2" | "neon" | "auto" | "") against what is available.
-/// Unknown names and unavailable implementations fall back to the best
-/// available entry ("auto"); "scalar" always honours the request.
+/// Pure selection logic (unit-testable): the entry of the level
+/// sim::isa::resolve(want) picks for an EFD_SIMD-style request ("scalar" |
+/// "avx2" | "neon" | "auto" | ""). Unknown names and unavailable
+/// implementations fall back to the best available entry ("auto");
+/// "scalar" always honours the request.
 [[nodiscard]] const CarrierKernels& select_kernels(std::string_view want);
 
-/// The process-wide selection: EFD_SIMD environment override resolved via
-/// select_kernels() on first use, then memoized. Records the chosen entry in
+/// The process-wide selection: the entry of sim::isa::active(), the
+/// EFD_SIMD override every dispatching layer shares. Records the chosen entry in
 /// the `carrier_math.impl` efd::obs gauge (0 scalar, 1 avx2, 2 neon) so every
 /// BENCH_*.json / --metrics snapshot names the code path it measured.
 [[nodiscard]] const CarrierKernels& active_kernels();

@@ -1,7 +1,7 @@
 // AVX2+FMA entry of the carrier-kernel dispatch table (simd.hpp). This is
 // the only TU compiled with -mavx2 -mfma (plus -ffp-contract=off so the
 // scalar tail expressions cannot silently fuse into FMAs and drift from the
-// scalar entry); selection guards it behind __builtin_cpu_supports.
+// scalar entry); selection guards it behind the cpuid check of sim::isa.
 //
 // Precision contract (DESIGN.md §12): the element-wise kernels (affine,
 // notch, scaled accumulate, SNR assembly, shift) use explicit mul/add/sub
@@ -10,7 +10,9 @@
 // 4-lane polynomial evaluations whose relative error is below 1e-14 — two
 // orders of magnitude inside the DiffRunner's 1e-12 dB contract — and the
 // reductions (ROBO sum, BER-weighted sum) keep vector-lane partial
-// accumulators, which reassociates the sum within the PBerr tolerance.
+// accumulators, which reassociates the sum within the PBerr tolerance. The
+// bit loader is integer work on exact compares and is equal to the scalar
+// entry in every output.
 #include <immintrin.h>
 
 #include <cstddef>
@@ -335,6 +337,54 @@ void a_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_of
   *total_bits = hsum(tb);
 }
 
+// --- bit loading (exact contract) ------------------------------------------
+
+std::int64_t a_bit_load_n(const BitLoadTable& table, const double* snr_db,
+                          double margin_db, std::size_t n, std::uint8_t* level,
+                          std::int32_t* row_off, double* bits) {
+  __m256d thresholds[BitLoadTable::kLevels - 1];
+  for (std::size_t k = 0; k < BitLoadTable::kLevels - 1; ++k) {
+    thresholds[k] = _mm256_set1_pd(table.thresholds[k]);
+  }
+  const __m256i weights =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(table.bits.data()));
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m128i low_bytes =
+      _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m128i row_len = _mm_set1_epi32(table.row_len);
+  const __m256d margin = _mm256_set1_pd(margin_db);
+  __m256i total = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // A cleared threshold sets its compare lane to all-ones, -1 as an int64,
+    // so subtracting the masks counts them. _CMP_GE_OQ is false on NaN, like
+    // the scalar `>=`.
+    const __m256d x = _mm256_sub_pd(_mm256_loadu_pd(snr_db + i), margin);
+    __m256i count = _mm256_setzero_si256();
+    for (const __m256d& t : thresholds) {
+      count = _mm256_sub_epi64(count,
+                               _mm256_castpd_si256(_mm256_cmp_pd(x, t, _CMP_GE_OQ)));
+    }
+    // Counts are 0..7: pack the four low dwords, then use them as the
+    // permute index into the eight-entry bit table.
+    const __m256i m = _mm256_permutevar8x32_epi32(count, low_dwords);
+    const __m128i m4 = _mm256_castsi256_si128(m);
+    const __m128i b4 =
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(weights, m));
+    const int packed = _mm_cvtsi128_si32(_mm_shuffle_epi8(m4, low_bytes));
+    std::memcpy(level + i, &packed, sizeof(packed));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(row_off + i),
+                     _mm_mullo_epi32(m4, row_len));
+    _mm256_storeu_pd(bits + i, _mm256_cvtepi32_pd(b4));
+    total = _mm256_add_epi64(total, _mm256_cvtepi32_epi64(b4));
+  }
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), total);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
+         detail::bit_load_n_scalar(table, snr_db + i, margin_db, n - i, level + i,
+                                   row_off + i, bits + i);
+}
+
 constexpr CarrierKernels kAvx2 = {
     "avx2",
     &a_db_to_linear_n,
@@ -346,6 +396,7 @@ constexpr CarrierKernels kAvx2 = {
     &a_shift_n,
     &a_sum_db_to_linear_n,
     &a_ber_weighted_sum_n,
+    &a_bit_load_n,
 };
 
 }  // namespace

@@ -251,6 +251,8 @@ constexpr CarrierKernels kNeon = {
     &n_shift_n,
     &n_sum_db_to_linear_n,
     &n_ber_weighted_sum_n,
+    // No NEON bit loader: one that nobody can measure is not worth its code.
+    &detail::bit_load_n_scalar,
 };
 
 }  // namespace

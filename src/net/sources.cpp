@@ -1,13 +1,26 @@
 #include "src/net/sources.hpp"
 
+#include <atomic>
 #include <cassert>
 
 namespace efd::net {
 
 namespace {
+/// Process-wide unique packet ids. Sources on parallel workers (ParallelRunner
+/// tasks, shards) draw ids at once, and two live packets with one id would
+/// merge in the receiver's reassembly table. Each thread takes ids in blocks
+/// from one atomic, so a packet costs no atomic operation; a single thread
+/// gets 1, 2, 3, ... Only uniqueness matters: no trace records the value.
 std::uint64_t next_packet_id() {
-  static std::uint64_t counter = 0;
-  return ++counter;
+  constexpr std::uint64_t kBlock = 1 << 16;
+  static std::atomic<std::uint64_t> blocks{0};
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    next = blocks.fetch_add(1, std::memory_order_relaxed) * kBlock + 1;
+    end = next + kBlock;
+  }
+  return next++;
 }
 }  // namespace
 

@@ -52,6 +52,21 @@ grid::simd::InterpTableView ber_lut_view() {
   };
 }
 
+const grid::simd::BitLoadTable& bit_load_table() {
+  static const grid::simd::BitLoadTable table = [] {
+    grid::simd::BitLoadTable t;
+    for (std::size_t k = 1; k < kModulationCount; ++k) {
+      t.thresholds[k - 1] = kRequiredSnrDb[k];
+    }
+    for (std::size_t k = 0; k < kModulationCount; ++k) {
+      t.bits[k] = kBitsPerSymbol[k];
+    }
+    t.row_len = ber_lut_view().size;
+    return t;
+  }();
+  return table;
+}
+
 double uncoded_ber(Modulation m, double snr_db) {
   if (m == Modulation::kOff) return 0.0;
   const auto& table = ber_tables().ber[static_cast<std::size_t>(m)];

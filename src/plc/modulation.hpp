@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "src/grid/simd.hpp"
@@ -10,7 +11,9 @@ namespace efd::plc {
 
 /// Per-carrier constellations of HomePlug AV / IEEE 1901 (§2.1 of the
 /// paper). Unlike 802.11, every OFDM carrier picks its own constellation.
-enum class Modulation {
+/// One byte, so the batch bit loader (grid::simd::CarrierKernels::bit_load_n)
+/// writes a tone map's carriers directly as its level bytes.
+enum class Modulation : std::uint8_t {
   kOff,      ///< carrier not used (notched or hopeless SNR)
   kBpsk,
   kQpsk,
@@ -72,9 +75,9 @@ inline constexpr std::array<double, kModulationCount> kRequiredSnrDb = {
 
 /// Largest constellation whose threshold is at or below `snr_db`. The
 /// thresholds increase with the enumerator, so that is the number of
-/// thresholds above kOff's that `snr_db` clears: a branch-free count, which
-/// keeps the bit loader's carrier sweep free of unpredictable branches. NaN
-/// clears none and loads nothing.
+/// thresholds above kOff's that `snr_db` clears: a branch-free count. NaN
+/// clears none and loads nothing. The batch bit loader (bit_load_table())
+/// computes the same count and every entry of it must equal this function.
 [[nodiscard]] constexpr Modulation pick_modulation(double snr_db) {
   int m = 0;
   for (std::size_t k = 1; k < kModulationCount; ++k) {
@@ -82,6 +85,11 @@ inline constexpr std::array<double, kModulationCount> kRequiredSnrDb = {
   }
   return static_cast<Modulation>(m);
 }
+
+/// kRequiredSnrDb, kBitsPerSymbol and the BER-LUT row length in the layout
+/// of the batch bit loader (grid::simd::CarrierKernels::bit_load_n), whose
+/// levels are Modulation values: level m is what pick_modulation returns.
+[[nodiscard]] const grid::simd::BitLoadTable& bit_load_table();
 
 /// Approximate uncoded bit-error rate of `m` at the given carrier SNR.
 /// Standard Gray-coded square-QAM approximation; used to derive PB error

@@ -65,9 +65,10 @@ void ToneMap::from_snr_ladder(std::span<const double> snr_db,
                               std::uint32_t id, std::span<ToneMap* const> out) {
   EFD_PROF_SCOPE("plc.tonemap_recompute");
   assert(margins_db.size() == out.size());
+  static_assert(sizeof(Modulation) == sizeof(std::uint8_t));
   const std::size_t n = snr_db.size();
-  const double* snr = snr_db.data();
-  const std::int32_t row_len = ber_lut_view().size;
+  const grid::simd::BitLoadTable& table = bit_load_table();
+  const auto bit_load_n = grid::simd::active_kernels().bit_load_n;
   for (std::size_t k = 0; k < out.size(); ++k) {
     ToneMap& tm = *out[k];
     tm.fec_rate_ = phy.fec_rate;
@@ -78,21 +79,13 @@ void ToneMap::from_snr_ladder(std::span<const double> snr_db,
     tm.carriers_.resize(n);
     tm.lut_rows_.resize(n);
     tm.bits_.resize(n);
-    Modulation* carriers = tm.carriers_.data();
-    std::int32_t* rows = tm.lut_rows_.data();
-    double* weights = tm.bits_.data();
-    const double margin = margins_db[k];
-    // Integer bit total: every partial sum is exact, so it equals the
-    // double accumulation recompute() performs.
-    std::int64_t bits = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Modulation m = pick_modulation(snr[i] - margin);
-      const int b = efd::plc::bits_per_symbol(m);
-      bits += b;
-      carriers[i] = m;
-      weights[i] = static_cast<double>(b);
-      rows[i] = static_cast<std::int32_t>(m) * row_len;
-    }
+    // The levels are Modulation values, written through the byte view of the
+    // carriers. The integer bit total is exact at every partial sum, so it
+    // equals the double accumulation recompute() performs.
+    const std::int64_t bits = bit_load_n(
+        table, snr_db.data(), margins_db[k], n,
+        reinterpret_cast<std::uint8_t*>(tm.carriers_.data()), tm.lut_rows_.data(),
+        tm.bits_.data());
     tm.set_totals(static_cast<double>(bits));
   }
 }

@@ -28,8 +28,9 @@ class ToneMap {
   /// Bit-load one SNR estimate at several margins, the estimator's margin
   /// ladder (ChannelEstimator::build_slot_map): `*out[k]` is rebuilt in
   /// place, reusing its buffers, into what `from_snr(snr_db, margins_db[k],
-  /// phy, 0.0, id)` returns. Each rung is one pass over the carriers that
-  /// writes the carriers and both SoA mirrors directly.
+  /// phy, 0.0, id)` returns. Each rung is one call of the active carrier
+  /// kernels' exact `bit_load_n`, which writes the carriers and both SoA
+  /// mirrors directly.
   static void from_snr_ladder(std::span<const double> snr_db,
                               std::span<const double> margins_db, const PhyParams& phy,
                               std::uint32_t id, std::span<ToneMap* const> out);

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
+#include "src/sim/isa.hpp"
+
 namespace efd::sim {
-
-namespace {
-constexpr std::size_t kShift = 156;  // MT19937-64 m
-constexpr std::uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
-constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
-constexpr std::uint64_t kLower = ~kUpper;
-
-constexpr std::uint64_t twist_word(std::uint64_t hi, std::uint64_t lo,
-                                   std::uint64_t far) {
-  const std::uint64_t y = (hi & kUpper) | (lo & kLower);
-  return far ^ (y >> 1) ^ (-(y & 1) & kMatrix);
-}
-}  // namespace
 
 Mt19937_64::Mt19937_64(result_type seed) {
   state_[0] = seed;
@@ -37,7 +26,27 @@ void Mt19937_64::twist() {
   next_ = 0;
 }
 
-void Rng::normal_fill(double* out, std::size_t n, double mean, double stddev) {
+void Mt19937_64::signed_fill_scalar(Mt19937_64& engine, double* out,
+                                    std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) out[j] = 2.0 * Rng::canonical(engine()) - 1.0;
+}
+
+Mt19937_64::SignedFill Mt19937_64::signed_fill_avx2() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return isa::available(isa::Level::kAvx2) ? &signed_fill_avx2_impl : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Mt19937_64::SignedFill Mt19937_64::active_signed_fill() {
+  static const SignedFill fill =
+      isa::active() == isa::Level::kAvx2 ? signed_fill_avx2() : &signed_fill_scalar;
+  return fill;
+}
+
+void Rng::normal_fill(double* out, std::size_t n, double mean, double stddev,
+                      Mt19937_64::SignedFill fill) {
   // Polar method in rounds. A round makes as many attempts as values are
   // still missing (at most kBlock), two uniforms each. The one-at-a-time
   // loop makes every one of those attempts too, since it cannot finish
@@ -50,7 +59,7 @@ void Rng::normal_fill(double* out, std::size_t n, double mean, double stddev) {
   std::size_t done = 0;
   while (done < n) {
     const std::size_t attempts = std::min(kBlock, n - done);
-    for (std::size_t j = 0; j < 2 * attempts; ++j) u[j] = 2.0 * uniform() - 1.0;
+    fill(engine_, u, 2 * attempts);
     double* y = out + done;
     std::size_t accepted = 0;
     for (std::size_t j = 0; j < attempts; ++j) {

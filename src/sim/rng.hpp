@@ -25,16 +25,51 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (next_ >= kN) twist();
-    result_type z = state_[next_++];
+    return temper(state_[next_++]);
+  }
+
+  /// A block fill: writes, for the engine's next `n` outputs u in order,
+  /// `2 * Rng::canonical(u) - 1` — bit for bit what `n` calls of
+  /// `2.0 * rng.uniform() - 1.0` return — and leaves the engine where those
+  /// calls would.
+  using SignedFill = void (*)(Mt19937_64& engine, double* out, std::size_t n);
+
+  /// The portable entry: one output at a time.
+  static void signed_fill_scalar(Mt19937_64& engine, double* out, std::size_t n);
+
+  /// The AVX2 entry (rng_avx2.cpp): twists four words per step and tempers
+  /// and converts four outputs per step, straight from the state array. Null
+  /// when the binary lacks it or the CPU cannot run it (sim::isa).
+  [[nodiscard]] static SignedFill signed_fill_avx2();
+
+  /// The entry of sim::isa::active(): EFD_SIMD=scalar forces the portable
+  /// one, as it does for the carrier kernels.
+  [[nodiscard]] static SignedFill active_signed_fill();
+
+ private:
+  static constexpr std::size_t kShift = 156;  // MT19937-64 m
+  static constexpr result_type kMatrix = 0xb5026f5aa96619e9ULL;
+  static constexpr result_type kUpper = ~result_type{0} << 31;
+  static constexpr result_type kLower = ~kUpper;
+
+  static constexpr result_type twist_word(result_type hi, result_type lo,
+                                          result_type far) {
+    const result_type y = (hi & kUpper) | (lo & kLower);
+    return far ^ (y >> 1) ^ (-(y & 1) & kMatrix);
+  }
+
+  static constexpr result_type temper(result_type z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
     z ^= (z << 37) & 0xfff7eee000000000ULL;
     return z ^ (z >> 43);
   }
 
- private:
   void twist();
+  static void signed_fill_avx2_impl(Mt19937_64& engine, double* out, std::size_t n);
 
+  // No alignas: an Rng, and so this state, is embedded in every estimator
+  // and MAC; the vector entry uses unaligned loads instead.
   std::array<result_type, kN> state_;
   std::size_t next_ = kN;
 };
@@ -96,8 +131,16 @@ class Rng {
 
   /// `n` normal draws into `out`, equal bit for bit and in order to `n`
   /// calls of `normal(mean, stddev)`, without the per-draw rejection branch
-  /// and with the log/sqrt transforms of a block free to overlap.
-  void normal_fill(double* out, std::size_t n, double mean, double stddev);
+  /// and with the log/sqrt transforms of a block free to overlap. The
+  /// uniforms come in blocks from Mt19937_64::active_signed_fill().
+  void normal_fill(double* out, std::size_t n, double mean, double stddev) {
+    normal_fill(out, n, mean, stddev, Mt19937_64::active_signed_fill());
+  }
+
+  /// Same, drawing the uniforms through an explicit fill entry, so tests
+  /// can pin each one.
+  void normal_fill(double* out, std::size_t n, double mean, double stddev,
+                   Mt19937_64::SignedFill fill);
 
   /// Exponential with the given mean (not rate).
   double exponential_mean(double mean) {

@@ -221,12 +221,18 @@ void ShardedSimulator::run_shard(int shard, std::int64_t end_exclusive_ns) {
   std::int64_t horizon = s.horizon.load(std::memory_order_relaxed);
   while (horizon < end_exclusive_ns) {
     if (abort_.load(std::memory_order_relaxed)) throw_stall(shard);
-    const std::int64_t target = safe_target(s, end_exclusive_ns);
+    std::int64_t target = safe_target(s, end_exclusive_ns);
     if (target <= horizon) {
-      const std::int64_t t0 = wall_ns();
-      std::this_thread::yield();
-      st.wait_ns += wall_ns() - t0;
-      continue;
+      // One profiler scope per wait episode, not per yield, so the spin
+      // shows as shard.wait instead of shard.run self time.
+      EFD_PROF_SCOPE("shard.wait");
+      do {
+        const std::int64_t t0 = wall_ns();
+        std::this_thread::yield();
+        st.wait_ns += wall_ns() - t0;
+        if (abort_.load(std::memory_order_relaxed)) throw_stall(shard);
+        target = safe_target(s, end_exclusive_ns);
+      } while (target <= horizon);
     }
     const std::int64_t t0 = wall_ns();
     run_window(shard, s, target);

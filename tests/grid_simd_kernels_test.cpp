@@ -4,11 +4,14 @@
 // blocks, partial tails, and the single-element degenerate case; the
 // transcendental kernels are bounded against naive double-precision
 // references and the element-wise kernels must match the scalar entry
-// bit for bit (the EFD_SIMD=scalar byte-stability contract).
+// bit for bit (the EFD_SIMD=scalar byte-stability contract). The bit loader
+// is an exact-contract kernel: every entry must equal pick_modulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -161,6 +164,59 @@ TEST_P(KernelSweep, BerWeightedSumMatchesNaiveLutWalk) {
     }
     EXPECT_NEAR(wb, ref_wb, 1e-9 * std::max(ref_wb, 1.0)) << k.name << " n=" << n;
     EXPECT_EQ(tb, ref_tb) << k.name << " n=" << n;
+  }
+}
+
+/// Bit-loader inputs on every edge: each threshold and the doubles either
+/// side of it, signed zeros, NaN, infinities and huge magnitudes.
+std::vector<double> bit_load_edges() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> v = {0.0,  -0.0,  std::numeric_limits<double>::quiet_NaN(),
+                           kInf, -kInf, 1e300, -1e300};
+  for (std::size_t m = 1; m < plc::kModulationCount; ++m) {
+    const double t = plc::kRequiredSnrDb[m];
+    v.insert(v.end(), {std::nextafter(t, -kInf), t, std::nextafter(t, kInf)});
+  }
+  return v;
+}
+
+TEST_P(KernelSweep, BitLoadMatchesPickModulationExactly) {
+  // The exact-contract kernel: every entry must equal pick_modulation and
+  // kBitsPerSymbol in every output, with no tolerance.
+  const CarrierKernels& k = *GetParam();
+  const grid::simd::BitLoadTable& table = plc::bit_load_table();
+  const std::vector<double> edges = bit_load_edges();
+  sim::Rng rng{0xb17u};
+  for (const double margin : {0.0, 1.5, -2.75}) {
+    for (const std::size_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 917}) {
+      // Edges rotate through every lane position as n changes; every third
+      // carrier is an ordinary SNR.
+      std::vector<double> snr(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        snr[i] = i % 3 == 2 ? rng.uniform(-10.0, 40.0) : edges[(i + n) % edges.size()];
+      }
+      std::vector<std::uint8_t> level(n + 8, 0xee);
+      std::vector<std::int32_t> rows(n + 8, -1);
+      Padded bits(n);
+      const std::int64_t total = k.bit_load_n(table, snr.data(), margin, n,
+                                              level.data(), rows.data(), bits.data());
+      std::int64_t want_total = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const plc::Modulation m = plc::pick_modulation(snr[i] - margin);
+        const int b = plc::bits_per_symbol(m);
+        want_total += b;
+        ASSERT_EQ(level[i], static_cast<std::uint8_t>(m))
+            << k.name << " snr " << snr[i] << " margin " << margin << " i " << i;
+        ASSERT_EQ(rows[i], static_cast<std::int32_t>(m) * table.row_len) << k.name;
+        ASSERT_EQ(bits.buf[i], static_cast<double>(b)) << k.name;
+      }
+      EXPECT_EQ(total, want_total) << k.name << " n=" << n;
+      bits.expect_no_overrun(n, "bit_load_n");
+      for (std::size_t i = n; i < n + 8; ++i) {
+        ASSERT_EQ(level[i], 0xee) << k.name << ": wrote past level " << n;
+        ASSERT_EQ(rows[i], -1) << k.name << ": wrote past row " << n;
+      }
+    }
   }
 }
 

@@ -8,8 +8,10 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
+#include "src/sim/isa.hpp"
 #include "src/sim/stats.hpp"
 
 namespace efd::sim {
@@ -258,6 +260,58 @@ TEST(RngStream, CanonicalMatchesGenerateCanonical) {
   }
 }
 
+/// The block-fill entries this binary and CPU can run, called directly
+/// rather than through EFD_SIMD.
+std::vector<std::pair<const char*, Mt19937_64::SignedFill>> fill_entries() {
+  std::vector<std::pair<const char*, Mt19937_64::SignedFill>> out = {
+      {"scalar", &Mt19937_64::signed_fill_scalar}};
+  if (Mt19937_64::SignedFill f = Mt19937_64::signed_fill_avx2()) {
+    out.emplace_back("avx2", f);
+  }
+  return out;
+}
+
+TEST(RngStream, ActiveFillFollowsTheSharedIsaChoice) {
+  // EFD_SIMD picks one level for the carrier kernels and the RNG alike.
+  const bool avx2 = isa::active() == isa::Level::kAvx2;
+  EXPECT_EQ(Mt19937_64::active_signed_fill(),
+            avx2 ? Mt19937_64::signed_fill_avx2() : &Mt19937_64::signed_fill_scalar);
+  EXPECT_EQ(isa::resolve("scalar"), isa::Level::kScalar);
+  EXPECT_EQ(Mt19937_64::signed_fill_avx2() != nullptr,
+            isa::available(isa::Level::kAvx2));
+}
+
+TEST(RngStream, SignedFillMatchesGenerateCanonical) {
+  // Consecutive fills of every length 0..700 cross the twist at 312 many
+  // times, end on every tail modulo 4, and start at every offset into the
+  // state block; 0..5 single draws (one count per stream, in turn) first
+  // shift where the first fill starts.
+  const std::vector<Rng> all = streams();
+  for (const auto& [name, fill] : fill_entries()) {
+    for (std::size_t s = 0; s < all.size(); ++s) {
+      const std::uint64_t seed = all[s].engine_seed();
+      const std::size_t skip = s % 6;
+      Mt19937_64 engine{seed};
+      std::mt19937_64 ref{seed};
+      for (std::size_t i = 0; i < skip; ++i) ASSERT_EQ(engine(), ref());
+      std::vector<double> got;
+      for (std::size_t n = 0; n <= 700; ++n) {
+        got.assign(n + 1, -7.0);
+        fill(engine, got.data(), n);
+        ASSERT_EQ(got[n], -7.0) << name << ": wrote past element " << n;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double u =
+              std::generate_canonical<double, std::numeric_limits<double>::digits>(ref);
+          ASSERT_EQ(bits(got[i]), bits(2.0 * u - 1.0))
+              << name << " seed " << seed << " skip " << skip << " n " << n << " i "
+              << i;
+        }
+      }
+      ASSERT_EQ(engine(), ref()) << name << ": the fill left the engine elsewhere";
+    }
+  }
+}
+
 /// n draws from a fresh std::normal_distribution each: the stream
 /// Rng::normal and Rng::normal_fill promise.
 std::vector<double> std_normals(std::mt19937_64& ref, std::size_t n, double mean,
@@ -299,6 +353,30 @@ TEST(RngStream, NormalFillMatchesFreshStdDistribution) {
         }
       }
       ASSERT_EQ(bits(rng.normal(0.0, sd)), bits(std_normals(ref, 1, 0.0, sd)[0]));
+    }
+  }
+}
+
+TEST(RngStream, NormalFillIsBitEqualUnderEveryFillEntry) {
+  const auto entries = fill_entries();
+  for (const Rng& root : streams()) {
+    std::vector<std::vector<double>> runs;
+    for (const auto& [name, fill] : entries) {
+      Rng rng = root;
+      std::vector<double>& out = runs.emplace_back();
+      for (std::size_t n : {0, 1, 3, 64, 65, 917, 311, 917}) {
+        std::vector<double> block(n);
+        rng.normal_fill(block.data(), n, -0.5, 0.3 + static_cast<double>(n), fill);
+        out.insert(out.end(), block.begin(), block.end());
+      }
+      out.push_back(rng.uniform());
+    }
+    for (std::size_t e = 1; e < runs.size(); ++e) {
+      ASSERT_EQ(runs[e].size(), runs[0].size());
+      for (std::size_t i = 0; i < runs[0].size(); ++i) {
+        ASSERT_EQ(bits(runs[e][i]), bits(runs[0][i]))
+            << entries[e].first << " seed " << root.engine_seed() << " i " << i;
+      }
     }
   }
 }
