@@ -318,6 +318,30 @@ void BM_BuildSlotMap(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildSlotMap);
 
+// The two ends of an estimator's life. Bootstrap: the configured 12 dB
+// uncertainty, a one-rung ladder and sigma 3.6 dB, where every draw takes
+// its transform. Converged: 10^9 PB samples, the regime of a long link
+// trace (uncertainty ~0.008 dB, sigma ~0.002 dB, four rungs), where almost
+// every draw skips its transform and the ladder scores one rung.
+void build_slot_map_at(benchmark::State& state, std::uint64_t pb_samples) {
+  Rig rig;
+  plc::ChannelEstimator est(*rig.channel, 0, 1, sim::Rng{3}, {});
+  const sim::Time now = sim::days(1) + sim::hours(12);
+  est.on_sound_frame(now);
+  for (std::uint64_t fed = 0; fed < pb_samples; fed += 1'000'000) {
+    est.on_frame_received(0, 1'000'000, 0, 40, now);
+  }
+  plc::ToneMap map;
+  std::uint32_t id = 0;
+  for (auto _ : state) {
+    est.build_slot_map(2, now, 1.5, ++id, map);
+    benchmark::DoNotOptimize(map.ble_mbps());
+  }
+}
+BENCHMARK_CAPTURE(build_slot_map_at, bootstrap, 0)->Name("BM_BuildSlotMap/bootstrap");
+BENCHMARK_CAPTURE(build_slot_map_at, converged, 1'000'000'000)
+    ->Name("BM_BuildSlotMap/converged");
+
 // One slot's worth (917 carriers) of the estimator's Gaussian perturbation:
 // a fresh std::normal_distribution per draw on std::mt19937_64 — the stream
 // sim::Rng reproduces — against Rng::normal_fill. The rng/ prefix keeps them

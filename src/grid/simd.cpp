@@ -1,6 +1,10 @@
 #include "src/grid/simd.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cassert>
+#include <cmath>
+#include <limits>
 
 #include "src/grid/db_units.hpp"
 #include "src/obs/obs.hpp"
@@ -109,6 +113,42 @@ std::int64_t bit_load_n_scalar(const BitLoadTable& table, const double* snr_db,
   }
   return total;
 }
+
+ReachBoundaries reach_boundaries(const BitLoadTable& table, const double* margins_db,
+                                 std::size_t n_margins) {
+  assert(n_margins <= kMaxReachMargins);
+  ReachBoundaries r;
+  double max_th = 0.0;
+  double max_m = 0.0;
+  for (const double th : table.thresholds) max_th = std::max(max_th, std::fabs(th));
+  for (std::size_t k = 0; k < n_margins; ++k) {
+    max_m = std::max(max_m, std::fabs(margins_db[k]));
+    for (const double th : table.thresholds) r.at[r.count++] = th + margins_db[k];
+  }
+  // Equal margins and thresholds spaced like the ladder's steps repeat
+  // boundaries; the minimum over a set does not care.
+  std::sort(r.at.begin(), r.at.begin() + static_cast<std::ptrdiff_t>(r.count));
+  r.count = static_cast<std::size_t>(
+      std::unique(r.at.begin(), r.at.begin() + static_cast<std::ptrdiff_t>(r.count)) -
+      r.at.begin());
+  r.scale = max_th + max_m;
+  return r;
+}
+
+void bit_load_reach_n_scalar(const BitLoadTable& table, const double* margins_db,
+                             std::size_t n_margins, const double* snr_db,
+                             std::size_t n, double* reach) {
+  const ReachBoundaries b = reach_boundaries(table, margins_db, n_margins);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = snr_db[i];
+    double gap = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < b.count; ++k) {
+      const double d = std::fabs(x - b.at[k]);
+      gap = d < gap ? d : gap;
+    }
+    reach[i] = gap - (std::fabs(x) + b.scale) * 0x1p-44;
+  }
+}
 }  // namespace detail
 
 namespace {
@@ -125,6 +165,7 @@ constexpr CarrierKernels kScalar = {
     &s_sum_db_to_linear_n,
     &s_ber_weighted_sum_n,
     &detail::bit_load_n_scalar,
+    &detail::bit_load_reach_n_scalar,
 };
 
 }  // namespace

@@ -57,16 +57,25 @@ struct BitLoadTable {
 ///    thresholds that snr_db[i] - margin_db is at or above (NaN clears
 ///    none), row_off[i] = level[i] * table.row_len, bits[i] =
 ///    table.bits[level[i]]; returns the sum of the bit weights. One rung of
-///    the estimator's margin ladder (plc::ToneMap::from_snr_ladder).
+///    the estimator's margin ladder (plc::ToneMap::rebuild_from_snr).
+///  - bit_load_reach_n: per element, how far snr_db[i] may move without
+///    changing its bit_load_n level at any of the `n_margins` margins:
+///    reach[i] = min over the boundaries b = thresholds[j] + margins_db[k]
+///    of |snr_db[i] - b|, minus the rounding slack 2^-44 * (|snr_db[i]| +
+///    B) with B = max|thresholds| + max|margins_db| (DESIGN.md §7.1). For
+///    every d with |d| < reach[i], bit_load_n gives snr_db[i] + d and
+///    snr_db[i] + 0.0 the same level at each of those margins. NaN and
+///    infinite inputs give NaN; a non-positive reach promises nothing.
+///    n_margins <= kMaxReachMargins.
 ///
 /// Two contract classes. The float kernels above: the scalar entry
 /// reproduces the original fast-path loops operation for operation
 /// (bit-identical figures under EFD_SIMD=scalar); vector entries may
 /// reassociate sums and use FMA, and are gated by the DiffRunner tolerance
-/// contract instead (DESIGN.md §11/§12). bit_load_n is exact: every entry
-/// must return and write exactly what the scalar entry does, for every
-/// input including NaN, infinities and signed zeros, so switching entries
-/// never changes a tone map.
+/// contract instead (DESIGN.md §11/§12). bit_load_n and bit_load_reach_n are
+/// exact: every entry must return and write exactly what the scalar entry
+/// does, for every input including NaN, infinities and signed zeros, so
+/// switching entries never changes a tone map.
 struct CarrierKernels {
   const char* name;
   void (*db_to_linear_n)(const double* db, double* out, std::size_t n);
@@ -88,7 +97,13 @@ struct CarrierKernels {
   std::int64_t (*bit_load_n)(const BitLoadTable& table, const double* snr_db,
                              double margin_db, std::size_t n, std::uint8_t* level,
                              std::int32_t* row_off, double* bits);
+  void (*bit_load_reach_n)(const BitLoadTable& table, const double* margins_db,
+                           std::size_t n_margins, const double* snr_db, std::size_t n,
+                           double* reach);
 };
+
+/// Most margins one bit_load_reach_n call takes (the estimator's ladder).
+inline constexpr std::size_t kMaxReachMargins = 4;
 
 namespace detail {
 /// The scalar entry's bit_load_n. Vector entries finish their tails with
@@ -96,6 +111,21 @@ namespace detail {
 std::int64_t bit_load_n_scalar(const BitLoadTable& table, const double* snr_db,
                                double margin_db, std::size_t n, std::uint8_t* level,
                                std::int32_t* row_off, double* bits);
+
+/// bit_load_reach_n's boundaries, distinct and ascending, and its slack
+/// scale B: the set-up every entry of it shares.
+struct ReachBoundaries {
+  std::array<double, (BitLoadTable::kLevels - 1) * kMaxReachMargins> at{};
+  std::size_t count = 0;
+  double scale = 0.0;
+};
+ReachBoundaries reach_boundaries(const BitLoadTable& table, const double* margins_db,
+                                 std::size_t n_margins);
+
+/// The scalar entry's bit_load_reach_n (vector tails, NEON entry).
+void bit_load_reach_n_scalar(const BitLoadTable& table, const double* margins_db,
+                             std::size_t n_margins, const double* snr_db,
+                             std::size_t n, double* reach);
 }  // namespace detail
 
 /// The portable scalar entry (always available).

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "src/grid/db_units.hpp"
 #include "src/grid/simd.hpp"
@@ -385,6 +386,52 @@ std::int64_t a_bit_load_n(const BitLoadTable& table, const double* snr_db,
                                    row_off + i, bits + i);
 }
 
+/// Sixteen carriers per step against every boundary, in the scalar entry's
+/// operations: |x - b| by clearing the sign bit, and _mm256_min_pd(d, gap),
+/// which is `d < gap ? d : gap` exactly as the scalar loop writes it, NaN
+/// included. Four independent minimum chains hide the min latency.
+void a_bit_load_reach_n(const BitLoadTable& table, const double* margins_db,
+                        std::size_t n_margins, const double* snr_db, std::size_t n,
+                        double* reach) {
+  const detail::ReachBoundaries b =
+      detail::reach_boundaries(table, margins_db, n_margins);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d scale = _mm256_set1_pd(b.scale);
+  const __m256d ulps = _mm256_set1_pd(0x1p-44);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const auto store = [&](std::size_t at, __m256d x, __m256d gap) {
+    const __m256d slack =
+        _mm256_mul_pd(_mm256_add_pd(_mm256_andnot_pd(sign, x), scale), ulps);
+    _mm256_storeu_pd(reach + at, _mm256_sub_pd(gap, slack));
+  };
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256d x0 = _mm256_loadu_pd(snr_db + i);
+    const __m256d x1 = _mm256_loadu_pd(snr_db + i + 4);
+    const __m256d x2 = _mm256_loadu_pd(snr_db + i + 8);
+    const __m256d x3 = _mm256_loadu_pd(snr_db + i + 12);
+    __m256d g0 = inf;
+    __m256d g1 = inf;
+    __m256d g2 = inf;
+    __m256d g3 = inf;
+    for (std::size_t k = 0; k < b.count; ++k) {
+      const __m256d at = _mm256_broadcast_sd(&b.at[k]);
+      g0 = _mm256_min_pd(_mm256_andnot_pd(sign, _mm256_sub_pd(x0, at)), g0);
+      g1 = _mm256_min_pd(_mm256_andnot_pd(sign, _mm256_sub_pd(x1, at)), g1);
+      g2 = _mm256_min_pd(_mm256_andnot_pd(sign, _mm256_sub_pd(x2, at)), g2);
+      g3 = _mm256_min_pd(_mm256_andnot_pd(sign, _mm256_sub_pd(x3, at)), g3);
+    }
+    store(i, x0, g0);
+    store(i + 4, x1, g1);
+    store(i + 8, x2, g2);
+    store(i + 12, x3, g3);
+  }
+  if (i < n) {
+    detail::bit_load_reach_n_scalar(table, margins_db, n_margins, snr_db + i, n - i,
+                                    reach + i);
+  }
+}
+
 constexpr CarrierKernels kAvx2 = {
     "avx2",
     &a_db_to_linear_n,
@@ -397,6 +444,7 @@ constexpr CarrierKernels kAvx2 = {
     &a_sum_db_to_linear_n,
     &a_ber_weighted_sum_n,
     &a_bit_load_n,
+    &a_bit_load_reach_n,
 };
 
 }  // namespace

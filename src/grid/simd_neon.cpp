@@ -253,6 +253,7 @@ constexpr CarrierKernels kNeon = {
     &n_ber_weighted_sum_n,
     // No NEON bit loader: one that nobody can measure is not worth its code.
     &detail::bit_load_n_scalar,
+    &detail::bit_load_reach_n_scalar,
 };
 
 }  // namespace

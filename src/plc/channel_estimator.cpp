@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/grid/carrier_workspace.hpp"
+#include "src/grid/simd.hpp"
 #include "src/obs/obs.hpp"
 
 namespace efd::plc {
@@ -24,76 +25,119 @@ double ChannelEstimator::current_uncertainty_db() const {
 
 namespace {
 
-/// Per-thread retune scratch: the perturbed SNR estimate and the margin
-/// ladder's spare rungs (the first rung is built straight into the output
+/// Per-thread retune scratch: the measured SNR before and after its
+/// perturbation, each carrier's reach (how far a perturbation may move it
+/// without changing its level on any rung), and two spare maps for the
+/// ladder's lower rungs (the top rung is built straight into the output
 /// map). Sized once per thread, not once per link.
 struct RetuneScratch {
   static constexpr std::size_t kRungs = 4;
+  static_assert(kRungs <= grid::simd::kMaxReachMargins);
+  grid::AlignedVec measured_db;
+  grid::AlignedVec reach_db;
   grid::AlignedVec snr_db;
-  std::array<ToneMap, kRungs - 1> spare;
+  std::array<ToneMap, 2> spare;
 };
 
 }  // namespace
 
-void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
-                                      std::uint32_t id, ToneMap& out) const {
-  const PhyParams& phy = channel_.phy();
-  const std::vector<double>& true_snr = channel_.static_snr_db(tx_, rx_, slot, now);
-  const std::size_t n = true_snr.size();
+void build_slot_tone_map(std::span<const double> true_snr_db, double offset_db,
+                         double sigma_db, double margin_db, double depth, sim::Rng& rng,
+                         const PhyParams& phy, std::uint32_t id, ToneMap& out) {
+  const std::size_t n = true_snr_db.size();
   RetuneScratch& ws = grid::thread_scratch<RetuneScratch>();
-  ws.snr_db.resize(n);
-  double* snr = ws.snr_db.data();
-  // The receiver's measurements include part of the instantaneous noise and
-  // a per-carrier estimation error that shrinks with accumulated samples.
-  const double offset = channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking;
-  const double sigma = 0.3 * current_uncertainty_db();
-  if (sigma > 0.0) {
-    rng_.normal_fill(snr, n, 0.0, sigma);
-    for (std::size_t i = 0; i < n; ++i) snr[i] = (true_snr[i] - offset) + snr[i];
-  } else {
-    for (std::size_t i = 0; i < n; ++i) snr[i] = true_snr[i] - offset;
-  }
   // The bit loader maximizes *goodput*, rate * (1 - PBerr): on carriers
   // near a constellation threshold it can pay to load aggressively and
   // accept block errors — which is why real HPAV links run at PBerr up to
   // ~0.4 (paper Figs. 7, 22). Try a ladder of margins below the safe one
   // and keep the best expected goodput; Definition 1's expected PBerr is
   // whatever the winning map predicts on the typical (static) channel.
-  // Gambling below the safe margin requires *knowing* the channel: scale
-  // the ladder's depth by confidence, so a freshly reset device starts
-  // conservative and earns its aggressiveness with samples (Fig. 16).
-  const double depth =
-      std::clamp(1.0 - current_uncertainty_db() / 6.0, 0.0, 1.0);
-  // A rung whose margin equals the previous one loads the same map and
-  // scores the same, so it can never win (the comparison is strict): skip
-  // it. At zero depth the whole ladder is one rung.
+  // A rung whose margin equals the previous one loads the same map, so it
+  // is dropped. At zero depth the whole ladder is one rung.
   std::array<double, RetuneScratch::kRungs> margins{};
-  std::array<ToneMap*, RetuneScratch::kRungs> rungs{};
   std::size_t n_rungs = 0;
   for (double m : {margin_db, margin_db - 1.5 * depth, margin_db - 3.0 * depth,
                    margin_db - 4.5 * depth}) {
     if (n_rungs > 0 && m == margins[n_rungs - 1]) continue;
-    margins[n_rungs] = m;
-    rungs[n_rungs] = n_rungs == 0 ? &out : &ws.spare[n_rungs - 1];
-    ++n_rungs;
+    margins[n_rungs++] = m;
   }
-  ToneMap::from_snr_ladder({snr, n}, {margins.data(), n_rungs}, phy, id,
-                           {rungs.data(), n_rungs});
-  std::size_t best = 0;
+
+  // The measurement: the true SNR less the tracked offset, plus a Gaussian
+  // estimation error per carrier. Its only consumer is the bit loader's
+  // threshold compares, so on a multi-rung (converged, small-sigma) ladder
+  // a draw that provably cannot move its carrier across any rung's
+  // boundary skips its transform and reads as +0.0 (DESIGN.md §7.1). A
+  // fresh estimator's one-rung ladder draws so widely that the test costs
+  // more than it saves.
+  ws.measured_db.resize(n);
+  double* measured = ws.measured_db.data();
+  for (std::size_t i = 0; i < n; ++i) measured[i] = true_snr_db[i] - offset_db;
+  const double* snr = measured;
+  if (sigma_db > 0.0) {
+    const double* slack = nullptr;
+    if (n_rungs > 1) {
+      ws.reach_db.resize(n);
+      grid::simd::active_kernels().bit_load_reach_n(
+          bit_load_table(), margins.data(), n_rungs, measured, n, ws.reach_db.data());
+      slack = ws.reach_db.data();
+    }
+    ws.snr_db.resize(n);
+    double* perturbed = ws.snr_db.data();
+    rng.normal_fill(perturbed, n, 0.0, sigma_db, slack);
+    for (std::size_t i = 0; i < n; ++i) perturbed[i] = measured[i] + perturbed[i];
+    snr = perturbed;
+  }
+
+  // Walk the ladder from its most aggressive rung down. Margins never grow
+  // along the walk, so levels, the bit total and the rate never shrink
+  // toward the top; and every score, rate * (1 - min(PBerr, 0.45)), is at
+  // most its rate. Once a rung's rate is below the best score no rung under
+  // it can reach that score, so the walk stops there. A rung with the bit
+  // total of the one above it has every carrier at the same level (bits
+  // strictly grow with the level), so it is that map again and scores the
+  // same: nothing to score. Taking ties on the way down leaves them with the
+  // lowest rung, as an ascending strict scan would; if every score is NaN,
+  // the bottom rung wins with expected 0.
+  ToneMap* best = nullptr;
+  ToneMap* built = nullptr;
   double best_score = -1.0;
   double best_expected = 0.0;
-  for (std::size_t k = 0; k < n_rungs; ++k) {
+  double bits_above = -1.0;
+  for (std::size_t k = n_rungs; k-- > 0;) {
+    built = k + 1 == n_rungs ? &out
+                             : (best == &ws.spare[0] ? &ws.spare[1] : &ws.spare[0]);
+    built->rebuild_from_snr({snr, n}, margins[k], phy, id);
+    const double rate = built->phy_rate_mbps();
+    if (rate < best_score) break;
+    if (built->bits_per_symbol() == bits_above) continue;
+    bits_above = built->bits_per_symbol();
     const double expected =
-        std::min(rungs[k]->pb_error_probability(true_snr, phy), 0.45);
-    const double score = rungs[k]->phy_rate_mbps() * (1.0 - expected);
-    if (score > best_score) {
+        std::min(built->pb_error_probability(true_snr_db, phy), 0.45);
+    const double score = rate * (1.0 - expected);
+    if (score >= best_score) {
       best_score = score;
       best_expected = expected;
-      best = k;
+      best = built;
     }
   }
-  if (best != 0) out = *rungs[best];
+  if (best == nullptr) best = built;
+  if (best != &out) out = *best;
   out.set_expected_pberr(best_expected);
+}
+
+void ChannelEstimator::build_slot_map(int slot, sim::Time now, double margin_db,
+                                      std::uint32_t id, ToneMap& out) const {
+  // The receiver's measurements include part of the instantaneous noise and
+  // a per-carrier estimation error that shrinks with accumulated samples.
+  // Gambling below the safe margin requires *knowing* the channel: scale
+  // the ladder's depth by confidence, so a freshly reset device starts
+  // conservative and earns its aggressiveness with samples (Fig. 16).
+  const std::vector<double>& true_snr = channel_.static_snr_db(tx_, rx_, slot, now);
+  const double offset = channel_.fast_offset_db(rx_, now) * cfg_.offset_tracking;
+  const double uncertainty = current_uncertainty_db();
+  build_slot_tone_map(true_snr, offset, 0.3 * uncertainty, margin_db,
+                      std::clamp(1.0 - uncertainty / 6.0, 0.0, 1.0), rng_,
+                      channel_.phy(), id, out);
 }
 
 void ChannelEstimator::retune(sim::Time now, bool error_triggered) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "src/plc/channel.hpp"
 #include "src/plc/tone_map.hpp"
@@ -8,6 +9,18 @@
 #include "src/sim/time.hpp"
 
 namespace efd::plc {
+
+/// One slot's bit-loading pass, the kernel of every estimator retune: the
+/// measured SNR is `true_snr_db` less `offset_db` plus a N(0, sigma_db)
+/// error per carrier drawn from `rng`; the map is the best expected goodput
+/// of a margin ladder {margin_db - 1.5·depth·k, k = 0..3} (equal margins
+/// dropped), scored on the true SNR. Rebuilt into `out` in place with
+/// identifier `id`; the ladder runs on per-thread scratch, so a warm call
+/// allocates nothing. DESIGN.md §7.1 gives the cost model and why its two
+/// early-outs leave the result and `rng` exactly as a full evaluation would.
+void build_slot_tone_map(std::span<const double> true_snr_db, double offset_db,
+                         double sigma_db, double margin_db, double depth, sim::Rng& rng,
+                         const PhyParams& phy, std::uint32_t id, ToneMap& out);
 
 /// Receiver-side channel estimation for one directed link, in the style of
 /// the vendor-specific algorithms IEEE 1901 leaves unspecified (§2.2). It
@@ -111,9 +124,8 @@ class ChannelEstimator {
   [[nodiscard]] std::uint64_t update_count() const { return update_count_; }
   [[nodiscard]] sim::Time last_update() const { return last_update_; }
 
-  /// One slot's bit-loading pass: perturbed-SNR measurement plus the
-  /// goodput-maximizing margin ladder, rebuilt into `out` in place. The
-  /// ladder runs on per-thread scratch, so a warm call allocates nothing.
+  /// One slot's bit-loading pass (build_slot_tone_map) on this link's
+  /// channel, RNG and current uncertainty, rebuilt into `out` in place.
   /// Public so the micro benches can time the kernel in isolation;
   /// simulation code goes through retunes.
   void build_slot_map(int slot, sim::Time now, double margin_db, std::uint32_t id,

@@ -54,40 +54,32 @@ ToneMap ToneMap::from_snr(std::span<const double> snr_db, double margin_db,
                           const PhyParams& phy, double expected_pberr,
                           std::uint32_t id) {
   ToneMap tm;
-  ToneMap* const out = &tm;
-  from_snr_ladder(snr_db, {&margin_db, 1}, phy, id, {&out, 1});
+  tm.rebuild_from_snr(snr_db, margin_db, phy, id);
   tm.set_expected_pberr(expected_pberr);
   return tm;
 }
 
-void ToneMap::from_snr_ladder(std::span<const double> snr_db,
-                              std::span<const double> margins_db, const PhyParams& phy,
-                              std::uint32_t id, std::span<ToneMap* const> out) {
+void ToneMap::rebuild_from_snr(std::span<const double> snr_db, double margin_db,
+                               const PhyParams& phy, std::uint32_t id) {
   EFD_PROF_SCOPE("plc.tonemap_recompute");
-  assert(margins_db.size() == out.size());
   static_assert(sizeof(Modulation) == sizeof(std::uint8_t));
   const std::size_t n = snr_db.size();
-  const grid::simd::BitLoadTable& table = bit_load_table();
-  const auto bit_load_n = grid::simd::active_kernels().bit_load_n;
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    ToneMap& tm = *out[k];
-    tm.fec_rate_ = phy.fec_rate;
-    tm.symbol_us_ = phy.symbol.us();
-    tm.expected_pberr_ = 0.0;
-    tm.id_ = id;
-    tm.robo_repetitions_ = 1;
-    tm.carriers_.resize(n);
-    tm.lut_rows_.resize(n);
-    tm.bits_.resize(n);
-    // The levels are Modulation values, written through the byte view of the
-    // carriers. The integer bit total is exact at every partial sum, so it
-    // equals the double accumulation recompute() performs.
-    const std::int64_t bits = bit_load_n(
-        table, snr_db.data(), margins_db[k], n,
-        reinterpret_cast<std::uint8_t*>(tm.carriers_.data()), tm.lut_rows_.data(),
-        tm.bits_.data());
-    tm.set_totals(static_cast<double>(bits));
-  }
+  fec_rate_ = phy.fec_rate;
+  symbol_us_ = phy.symbol.us();
+  expected_pberr_ = 0.0;
+  id_ = id;
+  robo_repetitions_ = 1;
+  carriers_.resize(n);
+  lut_rows_.resize(n);
+  bits_.resize(n);
+  // The levels are Modulation values, written through the byte view of the
+  // carriers. The integer bit total is exact at every partial sum, so it
+  // equals the double accumulation recompute() performs.
+  const std::int64_t bits = grid::simd::active_kernels().bit_load_n(
+      bit_load_table(), snr_db.data(), margin_db, n,
+      reinterpret_cast<std::uint8_t*>(carriers_.data()), lut_rows_.data(),
+      bits_.data());
+  set_totals(static_cast<double>(bits));
 }
 
 ToneMap ToneMap::from_carriers(std::vector<Modulation> carriers, const PhyParams& phy,

@@ -25,15 +25,13 @@ class ToneMap {
                           const PhyParams& phy, double expected_pberr,
                           std::uint32_t id);
 
-  /// Bit-load one SNR estimate at several margins, the estimator's margin
-  /// ladder (ChannelEstimator::build_slot_map): `*out[k]` is rebuilt in
-  /// place, reusing its buffers, into what `from_snr(snr_db, margins_db[k],
-  /// phy, 0.0, id)` returns. Each rung is one call of the active carrier
-  /// kernels' exact `bit_load_n`, which writes the carriers and both SoA
-  /// mirrors directly.
-  static void from_snr_ladder(std::span<const double> snr_db,
-                              std::span<const double> margins_db, const PhyParams& phy,
-                              std::uint32_t id, std::span<ToneMap* const> out);
+  /// Rebuild this map in place, reusing its buffers, into what
+  /// `from_snr(snr_db, margin_db, phy, 0.0, id)` returns: one call of the
+  /// active carrier kernels' exact `bit_load_n`, which writes the carriers
+  /// and both SoA mirrors directly. One rung of the estimator's margin
+  /// ladder (plc::build_slot_tone_map).
+  void rebuild_from_snr(std::span<const double> snr_db, double margin_db,
+                        const PhyParams& phy, std::uint32_t id);
 
   /// Build from an explicit per-carrier assignment.
   static ToneMap from_carriers(std::vector<Modulation> carriers, const PhyParams& phy,

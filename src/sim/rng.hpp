@@ -126,21 +126,76 @@ class Rng {
   double normal(double mean, double stddev) {
     double y = 0.0;
     const double r2 = polar_pair(y);
-    return y * std::sqrt(-2 * std::log(r2) / r2) * stddev + mean;
+    return polar_deviate(y, r2, stddev, mean);
+  }
+
+  /// One round of normal_fill once its uniforms are drawn. Attempt
+  /// j < attempts is the pair (u[2j], u[2j+1]); the accepted ones
+  /// (0 < r2 <= 1), in order, get y[a] = their second coordinate and
+  /// r2[a] = their squared radius, and the return value is their count.
+  /// Writes y and r2 below index `attempts` only. With a `slack` (null: no
+  /// sift), accepted pair a for which polar_below(y[a], r2[a], scaled_var,
+  /// slack[a]) holds gets y[a] = mean; the indices of the others go to
+  /// `keep`, ascending, and their count to *kept.
+  using PolarRound = std::size_t (*)(const double* u, std::size_t attempts,
+                                     double* y, double* r2, const double* slack,
+                                     double scaled_var, double mean,
+                                     std::uint32_t* keep, std::size_t* kept);
+
+  /// The portable round entry and the AVX2 one (rng_avx2.cpp; null when the
+  /// binary lacks it or the CPU cannot run it). Both compute every value
+  /// with the same operations, so they write the same outputs.
+  static std::size_t polar_round_scalar(const double* u, std::size_t attempts,
+                                        double* y, double* r2, const double* slack,
+                                        double scaled_var, double mean,
+                                        std::uint32_t* keep, std::size_t* kept);
+  [[nodiscard]] static PolarRound polar_round_avx2();
+  /// The round entry of sim::isa::active().
+  [[nodiscard]] static PolarRound active_polar_round();
+
+  /// `stddev`² times the bound's rounding factor 1 + 2^-40: the `scaled_var`
+  /// of polar_below.
+  [[nodiscard]] static double polar_scaled_var(double stddev) {
+    return stddev * stddev * 0x1.0000000001p0;
+  }
+
+  /// Whether the deviate y·√(−2·ln r2 / r2)·stddev of a polar pair,
+  /// computed in double precision as normal() does, is provably smaller in
+  /// magnitude than `slack`, decided without log, sqrt or division. On
+  /// (0, 1], −ln x ≤ (1/x − x)/2, so deviate² ≤ y²(1 − r2²)·stddev²/r2²;
+  /// the test is y²·(1 − r2)(1 + r2)·scaled_var < slack²·r2², where the
+  /// 1 + 2^-40 in scaled_var (polar_scaled_var) absorbs every rounding on
+  /// both sides and in the deviate itself (a few units of 2^-53 each).
+  /// False when slack ≤ 0 or is NaN.
+  [[nodiscard]] static bool polar_below(double y, double r2, double scaled_var,
+                                        double slack) {
+    const double bound = y * y * ((1.0 - r2) * (1.0 + r2)) * scaled_var;
+    return slack > 0.0 && bound < slack * slack * (r2 * r2);
   }
 
   /// `n` normal draws into `out`, equal bit for bit and in order to `n`
   /// calls of `normal(mean, stddev)`, without the per-draw rejection branch
   /// and with the log/sqrt transforms of a block free to overlap. The
   /// uniforms come in blocks from Mt19937_64::active_signed_fill().
-  void normal_fill(double* out, std::size_t n, double mean, double stddev) {
-    normal_fill(out, n, mean, stddev, Mt19937_64::active_signed_fill());
+  ///
+  /// With a per-element `slack`, a draw whose deviation from `mean` is
+  /// provably below slack[i] in magnitude (polar_below) is written as
+  /// exactly `mean` instead, skipping its transform. The uniforms drawn,
+  /// the pairs accepted and so the engine state after the call are the
+  /// same either way. Used only where every value closer to `mean` than
+  /// the slack has the same effect on the caller (the estimator's bit
+  /// loader).
+  void normal_fill(double* out, std::size_t n, double mean, double stddev,
+                   const double* slack = nullptr) {
+    normal_fill(out, n, mean, stddev, Mt19937_64::active_signed_fill(), slack,
+                active_polar_round());
   }
 
-  /// Same, drawing the uniforms through an explicit fill entry, so tests
-  /// can pin each one.
+  /// Same, through explicit fill and round entries, so tests can pin each
+  /// one.
   void normal_fill(double* out, std::size_t n, double mean, double stddev,
-                   Mt19937_64::SignedFill fill);
+                   Mt19937_64::SignedFill fill, const double* slack = nullptr,
+                   PolarRound round = &polar_round_scalar);
 
   /// Exponential with the given mean (not rate).
   double exponential_mean(double mean) {
@@ -168,6 +223,17 @@ class Rng {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
   }
+
+  /// The polar method's transform of an accepted pair: the one expression
+  /// behind normal() and normal_fill().
+  static double polar_deviate(double y, double r2, double stddev, double mean) {
+    return y * std::sqrt(-2 * std::log(r2) / r2) * stddev + mean;
+  }
+
+  static std::size_t polar_round_avx2_impl(const double* u, std::size_t attempts,
+                                           double* y, double* r2, const double* slack,
+                                           double scaled_var, double mean,
+                                           std::uint32_t* keep, std::size_t* kept);
 
   /// The polar method's rejection loop: returns r^2 = x^2 + y^2 in (0, 1]
   /// and stores y, the coordinate a fresh std::normal_distribution returns

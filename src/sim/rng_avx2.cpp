@@ -1,14 +1,18 @@
-// AVX2 block fill of the MT19937-64 engine (rng.hpp). The only sim TU
-// compiled with -mavx2 (plus -ffp-contract=off, so the scalar tail cannot
-// fuse into an FMA); Mt19937_64::signed_fill_avx2() hands it out only after
-// the cpuid check of sim::isa.
+// AVX2 block fill of the MT19937-64 engine and the polar round of
+// Rng::normal_fill (rng.hpp). The only sim TU compiled with -mavx2 (plus
+// -ffp-contract=off, so the scalar tails cannot fuse into an FMA);
+// Mt19937_64::signed_fill_avx2() and Rng::polar_round_avx2() hand them out
+// only after the cpuid check of sim::isa.
 //
 // Every output is equal, bit for bit, to the portable entry's: the twist
-// computes the same words, tempering is integer work, and the canonical
-// conversion below rounds exactly once, where Rng::canonical does.
+// computes the same words, tempering is integer work, the canonical
+// conversion below rounds exactly once, where Rng::canonical does, and the
+// round evaluates r2 and polar_below with the same operations in the same
+// order.
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -100,6 +104,97 @@ void Mt19937_64::signed_fill_avx2_impl(Mt19937_64& engine, double* out,
     out += take;
     n -= take;
   }
+}
+
+namespace {
+
+/// For each 4-bit acceptance mask, the _mm256_permutevar8x32_epi32 index
+/// that moves the accepted double lanes, in order, to the front.
+constexpr auto kCompact = [] {
+  std::array<std::array<std::int32_t, 8>, 16> lut{};
+  for (int mask = 0; mask < 16; ++mask) {
+    int to = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      if ((mask >> lane & 1) == 0) continue;
+      lut[mask][2 * to] = 2 * lane;
+      lut[mask][2 * to + 1] = 2 * lane + 1;
+      ++to;
+    }
+  }
+  return lut;
+}();
+
+}  // namespace
+
+std::size_t Rng::polar_round_avx2_impl(const double* u, std::size_t attempts,
+                                       double* y, double* r2, const double* slack,
+                                       double scaled_var, double mean,
+                                       std::uint32_t* keep, std::size_t* kept) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d var = _mm256_set1_pd(scaled_var);
+  const __m256d means = _mm256_set1_pd(mean);
+  std::size_t accepted = 0;
+  std::size_t k = 0;
+  std::size_t j = 0;
+  for (; j + 4 <= attempts; j += 4) {
+    // Pairs j..j+3 as [x0 y0 x1 y1] [x2 y2 x3 y3]. hadd sums each pair's
+    // squares in the scalar order (x² + y²) but yields lanes 0, 2, 1, 3, as
+    // does unpackhi for the y's; permute 0xD8 restores 0, 1, 2, 3.
+    const __m256d a = _mm256_loadu_pd(u + 2 * j);
+    const __m256d b = _mm256_loadu_pd(u + 2 * j + 4);
+    const __m256d rr = _mm256_permute4x64_pd(
+        _mm256_hadd_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b)), 0xD8);
+    const __m256d yy = _mm256_permute4x64_pd(_mm256_unpackhi_pd(a, b), 0xD8);
+    const int ok = _mm256_movemask_pd(
+        _mm256_and_pd(_mm256_cmp_pd(rr, one, _CMP_LE_OQ),
+                      _mm256_cmp_pd(rr, zero, _CMP_NEQ_OQ)));
+    // Accepted lanes to the front; the lanes past them are scratch that the
+    // next step overwrites (or that lie below `attempts`, unread).
+    const __m256i to_front = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+        kCompact[static_cast<std::size_t>(ok)].data()));
+    __m256d yc = _mm256_castsi256_pd(
+        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(yy), to_front));
+    const __m256d rc = _mm256_castsi256_pd(
+        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(rr), to_front));
+    const auto taken =
+        static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(ok)));
+    if (slack != nullptr) {
+      // polar_below on the compacted lanes, in its operation order. slack
+      // has an entry for every attempt, so the four-lane load stays in it.
+      const __m256d s = _mm256_loadu_pd(slack + accepted);
+      const __m256d bound = _mm256_mul_pd(
+          _mm256_mul_pd(_mm256_mul_pd(yc, yc),
+                        _mm256_mul_pd(_mm256_sub_pd(one, rc), _mm256_add_pd(one, rc))),
+          var);
+      const __m256d limit = _mm256_mul_pd(_mm256_mul_pd(s, s), _mm256_mul_pd(rc, rc));
+      const __m256d below = _mm256_and_pd(_mm256_cmp_pd(s, zero, _CMP_GT_OQ),
+                                          _mm256_cmp_pd(bound, limit, _CMP_LT_OQ));
+      yc = _mm256_blendv_pd(yc, means, below);
+      // On a converged link most pairs drop out, so this rarely iterates.
+      for (unsigned left = ~static_cast<unsigned>(_mm256_movemask_pd(below)) &
+                           ((1u << taken) - 1u);
+           left != 0; left &= left - 1) {
+        keep[k++] = static_cast<std::uint32_t>(accepted) +
+                    static_cast<std::uint32_t>(__builtin_ctz(left));
+      }
+    }
+    _mm256_storeu_pd(y + accepted, yc);
+    _mm256_storeu_pd(r2 + accepted, rc);
+    accepted += taken;
+  }
+  std::size_t tail_kept = 0;
+  const std::size_t tail =
+      polar_round_scalar(u + 2 * j, attempts - j, y + accepted, r2 + accepted,
+                         slack != nullptr ? slack + accepted : nullptr, scaled_var,
+                         mean, keep + k, &tail_kept);
+  if (slack != nullptr) {
+    for (std::size_t t = k; t < k + tail_kept; ++t) {
+      keep[t] += static_cast<std::uint32_t>(accepted);
+    }
+    *kept = k + tail_kept;
+  }
+  return accepted + tail;
 }
 
 }  // namespace efd::sim

@@ -8,6 +8,7 @@
 // is an exact-contract kernel: every entry must equal pick_modulation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -217,6 +218,85 @@ TEST_P(KernelSweep, BitLoadMatchesPickModulationExactly) {
         ASSERT_EQ(rows[i], -1) << k.name << ": wrote past row " << n;
       }
     }
+  }
+}
+
+/// The level bit_load_n gives one SNR at one margin.
+int level_of(double snr, double margin) {
+  std::uint8_t level = 0;
+  std::int32_t row = 0;
+  double bits = 0.0;
+  grid::simd::detail::bit_load_n_scalar(plc::bit_load_table(), &snr, margin, 1, &level,
+                                        &row, &bits);
+  return level;
+}
+
+TEST_P(KernelSweep, BitLoadReachIsExactAndSound) {
+  // Exact contract: every entry writes the scalar entry's reach bit for
+  // bit. Soundness: a move of less than the reach, in either direction and
+  // by the largest such amounts, changes no level at any margin — checked
+  // on every boundary, the doubles 1..4 ulps either side of it, points a
+  // little way off it, and the non-finite and huge edges.
+  const CarrierKernels& k = *GetParam();
+  const grid::simd::BitLoadTable& table = plc::bit_load_table();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> ladders = {
+      {1.0}, {2.5, 1.75, 1.0, 0.25}, {6.2, 4.7, 3.2, 1.7}, {15.3, 14.55}, {-2.0, -3.5}};
+  for (const std::vector<double>& margins : ladders) {
+    std::vector<double> snr = bit_load_edges();
+    for (const double m : margins) {
+      for (const double th : table.thresholds) {
+        double up = th + m;
+        double down = up;
+        snr.push_back(up);
+        for (int u = 0; u < 4; ++u) {
+          up = std::nextafter(up, kInf);
+          down = std::nextafter(down, -kInf);
+          snr.insert(snr.end(), {up, down});
+        }
+        for (const double off : {1e-12, 1e-3, 0.2, 0.75}) {
+          snr.insert(snr.end(), {th + m + off, th + m - off});
+        }
+      }
+    }
+    for (const std::size_t n : {snr.size(), snr.size() - 1, std::size_t{5}}) {
+      Padded got(n);
+      Padded want(n);
+      k.bit_load_reach_n(table, margins.data(), margins.size(), snr.data(), n,
+                         got.data());
+      grid::simd::detail::bit_load_reach_n_scalar(table, margins.data(), margins.size(),
+                                                  snr.data(), n, want.data());
+      got.expect_no_overrun(n, "bit_load_reach_n");
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.buf[i]),
+                  std::bit_cast<std::uint64_t>(want.buf[i]))
+            << k.name << " snr " << snr[i] << " i " << i;
+      }
+    }
+    std::vector<double> reach(snr.size());
+    k.bit_load_reach_n(table, margins.data(), margins.size(), snr.data(), snr.size(),
+                       reach.data());
+    std::size_t positive = 0;
+    for (std::size_t i = 0; i < snr.size(); ++i) {
+      const double x = snr[i];
+      const double r = reach[i];
+      if (!std::isfinite(x)) {
+        EXPECT_TRUE(std::isnan(r)) << k.name << " snr " << x;
+        continue;
+      }
+      ASSERT_FALSE(std::isnan(r)) << k.name << " snr " << x;
+      if (!(r > 0.0)) continue;
+      ++positive;
+      const double inside = std::nextafter(r, 0.0);
+      for (const double d : {inside, -inside, 0.5 * r, -0.5 * r, 1e-300, -1e-300}) {
+        for (const double m : margins) {
+          ASSERT_EQ(level_of(x + d, m), level_of(x + 0.0, m))
+              << k.name << " snr " << x << " d " << d << " margin " << m;
+        }
+      }
+    }
+    // Only the points within a few ulps of a boundary get no reach.
+    EXPECT_GT(positive, snr.size() / 4) << k.name;
   }
 }
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "alloc_count.hpp"
@@ -396,6 +399,170 @@ TEST(EstimatorLadder, FusedInPlaceLadderMatchesTheUnfusedReference) {
           cfg.uncertainty_db = uncertainty;
           cfg.offset_tracking = tracking;
           expect_ladder_matches_reference(link.channel, seed, cfg);
+        }
+      }
+    }
+  }
+}
+
+// --- Equivalence with the full evaluation --------------------------------
+
+/// build_slot_tone_map before its two early-outs: every draw transformed
+/// (normal_fill without a slack), every distinct rung built and scored in
+/// ascending margin order with a strict comparison, the winner copied out.
+void reference_slot_tone_map(std::span<const double> true_snr, double offset,
+                             double sigma, double margin, double depth, sim::Rng& rng,
+                             const PhyParams& phy, std::uint32_t id, ToneMap& out) {
+  const std::size_t n = true_snr.size();
+  std::vector<double> snr(n);
+  if (sigma > 0.0) {
+    rng.normal_fill(snr.data(), n, 0.0, sigma);
+    for (std::size_t i = 0; i < n; ++i) snr[i] = (true_snr[i] - offset) + snr[i];
+  } else {
+    for (std::size_t i = 0; i < n; ++i) snr[i] = true_snr[i] - offset;
+  }
+  std::vector<ToneMap> rungs;
+  std::vector<double> margins;
+  for (double m : {margin, margin - 1.5 * depth, margin - 3.0 * depth,
+                   margin - 4.5 * depth}) {
+    if (!margins.empty() && m == margins.back()) continue;
+    margins.push_back(m);
+    rungs.push_back(ToneMap::from_snr(snr, m, phy, 0.0, id));
+  }
+  std::size_t best = 0;
+  double best_score = -1.0;
+  double best_expected = 0.0;
+  for (std::size_t k = 0; k < rungs.size(); ++k) {
+    const double expected =
+        std::min(rungs[k].pb_error_probability(true_snr, phy), 0.45);
+    const double score = rungs[k].phy_rate_mbps() * (1.0 - expected);
+    if (score > best_score) {
+      best_score = score;
+      best_expected = expected;
+      best = k;
+    }
+  }
+  out = rungs[best];
+  out.set_expected_pberr(best_expected);
+}
+
+/// Same carriers, totals, identifier and expected PBerr, and the same BER
+/// rows and bit weights: the PB error on two SNR profiles reads both.
+void expect_identical_map(const ToneMap& got, const ToneMap& want,
+                          std::span<const double> snr, const PhyParams& phy) {
+  ASSERT_EQ(got.carriers(), want.carriers());
+  EXPECT_EQ(got.id(), want.id());
+  EXPECT_EQ(bits_of(got.bits_per_symbol()), bits_of(want.bits_per_symbol()));
+  EXPECT_EQ(bits_of(got.phy_rate_mbps()), bits_of(want.phy_rate_mbps()));
+  EXPECT_EQ(bits_of(got.ble_mbps()), bits_of(want.ble_mbps()));
+  EXPECT_EQ(bits_of(got.expected_pberr()), bits_of(want.expected_pberr()));
+  std::vector<double> lower(snr.begin(), snr.end());
+  for (double& v : lower) v -= 3.0;
+  EXPECT_EQ(bits_of(got.pb_error_probability(snr, phy)),
+            bits_of(want.pb_error_probability(snr, phy)));
+  EXPECT_EQ(bits_of(got.pb_error_probability(lower, phy)),
+            bits_of(want.pb_error_probability(lower, phy)));
+}
+
+/// True SNRs whose measurements (SNR less `offset`) sit on every boundary
+/// threshold + margin of the ladder, 1..4 ulps either side of it, and a
+/// few sigmas off it, plus infinities, ±1e300 and a link's own profile.
+std::vector<double> boundary_profile(const std::vector<double>& link, double margin,
+                                     double depth, double sigma, double offset) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> out = {kInf, -kInf, 1e300, -1e300, 0.0, -0.0};
+  for (const double m : {margin, margin - 1.5 * depth, margin - 3.0 * depth,
+                         margin - 4.5 * depth}) {
+    for (std::size_t j = 1; j < kModulationCount; ++j) {
+      double up = kRequiredSnrDb[j] + m;
+      double down = up;
+      out.push_back(up + offset);
+      for (int u = 0; u < 4; ++u) {
+        up = std::nextafter(up, kInf);
+        down = std::nextafter(down, -kInf);
+        out.insert(out.end(), {up + offset, down + offset});
+      }
+      for (const double k : {0.3, 1.0, 3.0}) {
+        out.insert(out.end(), {kRequiredSnrDb[j] + m + k * sigma + offset,
+                               kRequiredSnrDb[j] + m - k * sigma + offset});
+      }
+    }
+  }
+  out.insert(out.end(), link.begin(), link.end());
+  return out;
+}
+
+TEST(EstimatorLadder, EarlyOutsMatchTheFullEvaluation) {
+  // Sigmas from a fresh estimator's (3.6 dB) down past a converged one's
+  // and zero; ladders of one rung (depth 0) to full depth; base, converged
+  // and panic margins. Both sides draw from copies of one Rng, rebuild one
+  // reused map each (stale content from the previous case), and must leave
+  // their engines in the same place.
+  const PhyParams phy = PhyParams::hpav();
+  const LossyLink lossy(50.0);
+  const std::vector<double>& link =
+      lossy.channel.static_snr_db(0, 1, 2, sim::days(1) + sim::hours(12));
+  ToneMap got;
+  ToneMap want;
+  std::uint32_t id = 0;
+  for (const std::uint64_t seed : {1ULL, 9ULL}) {
+    sim::Rng rng{seed};
+    for (const double sigma : {3.6, 0.45, 0.02, 0.0015, 0.0}) {
+      for (const double depth : {0.0, 0.5, 1.0}) {
+        for (const double margin : {1.0, 2.35, 7.9, 15.0}) {
+          for (const double offset : {0.0, 0.37}) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed << " sigma " << sigma
+                                              << " depth " << depth << " margin "
+                                              << margin << " offset " << offset);
+            const std::vector<double> snr =
+                boundary_profile(link, margin, depth, sigma, offset);
+            sim::Rng a = rng;
+            sim::Rng b = rng;
+            ++id;
+            build_slot_tone_map(snr, offset, sigma, margin, depth, a, phy, id, got);
+            reference_slot_tone_map(snr, offset, sigma, margin, depth, b, phy, id,
+                                    want);
+            expect_identical_map(got, want, snr, phy);
+            for (int k = 0; k < 16; ++k) {
+              ASSERT_EQ(bits_of(a.uniform()), bits_of(b.uniform())) << "draw " << k;
+            }
+            rng = a;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EstimatorLadder, EarlyOutsMatchTheFullEvaluationOnConvergedLinks) {
+  // Whole retunes on both links of the unfused-ladder test, driven far
+  // enough that uncertainty is tiny (sigma ~0.002 dB at 1e6 PB samples):
+  // the regime where nearly every draw skips its transform.
+  for (const double loss_db : {22.0, 50.0}) {
+    const LossyLink link(loss_db);
+    const PhyParams& phy = link.channel.phy();
+    const sim::Time now = sim::days(1) + sim::hours(12);
+    for (const double uncertainty : {0.05, 0.002}) {
+      for (const double panic : {0.0, 4.0}) {
+        sim::Rng a{77};
+        sim::Rng b{77};
+        ToneMap got;
+        ToneMap want;
+        const double depth = std::clamp(1.0 - uncertainty / 6.0, 0.0, 1.0);
+        for (int slot = 0; slot < phy.tone_map_slots; ++slot) {
+          SCOPED_TRACE(::testing::Message() << "loss " << loss_db << " U "
+                                            << uncertainty << " panic " << panic
+                                            << " slot " << slot);
+          const std::vector<double>& snr = link.channel.static_snr_db(0, 1, slot, now);
+          const double margin = 1.0 + uncertainty + panic;
+          const auto id = static_cast<std::uint32_t>(slot + 1);
+          const double sigma = 0.3 * uncertainty;
+          build_slot_tone_map(snr, 0.0, sigma, margin, depth, a, phy, id, got);
+          reference_slot_tone_map(snr, 0.0, sigma, margin, depth, b, phy, id, want);
+          expect_identical_map(got, want, snr, phy);
+        }
+        for (int k = 0; k < 16; ++k) {
+          ASSERT_EQ(bits_of(a.uniform()), bits_of(b.uniform()));
         }
       }
     }

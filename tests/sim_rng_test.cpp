@@ -381,6 +381,153 @@ TEST(RngStream, NormalFillIsBitEqualUnderEveryFillEntry) {
   }
 }
 
+// --- Polar sift: normal_fill with a per-element slack ----------------------
+
+/// The round entries this binary and CPU can run.
+std::vector<std::pair<const char*, Rng::PolarRound>> round_entries() {
+  std::vector<std::pair<const char*, Rng::PolarRound>> out = {
+      {"scalar", &Rng::polar_round_scalar}};
+  if (Rng::PolarRound r = Rng::polar_round_avx2()) out.emplace_back("avx2", r);
+  return out;
+}
+
+TEST(RngSift, ActiveRoundFollowsTheSharedIsaChoice) {
+  const bool avx2 = isa::active() == isa::Level::kAvx2;
+  EXPECT_EQ(Rng::active_polar_round(),
+            avx2 ? Rng::polar_round_avx2() : &Rng::polar_round_scalar);
+  EXPECT_EQ(Rng::polar_round_avx2() != nullptr, isa::available(isa::Level::kAvx2));
+}
+
+/// The deviate normal() computes for a polar pair.
+double deviate(double y, double r2, double sd) {
+  return y * std::sqrt(-2 * std::log(r2) / r2) * sd + 0.0;
+}
+
+TEST(RngSift, BoundCoversEveryPolarDeviate) {
+  // Pairs from the engine (what normal_fill accepts) and the edges: r2 at
+  // and just below 1, where the log bound is tightest (−ln x and
+  // (1/x − x)/2 agree to second order), and r2 down to the smallest the
+  // uniforms can make, 2^-106. With the deviate's own magnitude as slack
+  // the test must never claim it is below; with a little more, pairs away
+  // from the tail must pass, or the sift would never skip anything.
+  std::vector<std::pair<double, double>> pairs;
+  Mt19937_64 engine{17};
+  while (pairs.size() < 20000) {
+    const double x = 2.0 * Rng::canonical(engine()) - 1.0;
+    const double y = 2.0 * Rng::canonical(engine()) - 1.0;
+    const double r2 = x * x + y * y;
+    if (r2 <= 1.0 && r2 != 0.0) pairs.emplace_back(y, r2);
+  }
+  for (int k = 0; k <= 64; ++k) {
+    const double r2 = 1.0 - k * 0x1p-53;
+    for (const double y : {std::sqrt(r2), 0.5 * std::sqrt(r2), 0x1p-53, 0.0}) {
+      pairs.emplace_back(y, r2);
+      pairs.emplace_back(-y, r2);
+    }
+  }
+  for (const double r2 : {0x1p-106, 0x1p-104, 0x1p-80, 1e-20, 1e-9}) {
+    for (const double y : {std::sqrt(r2), std::sqrt(r2) / 3.0}) {
+      pairs.emplace_back(y, r2);
+      pairs.emplace_back(-y, r2);
+    }
+  }
+  std::size_t passed = 0;
+  std::size_t near_center = 0;
+  for (const double sd : {1e-100, 1e-9, 0.0015, 0.02, 0.45, 3.6, 250.0}) {
+    const double var = Rng::polar_scaled_var(sd);
+    for (const auto& [y, r2] : pairs) {
+      const double t = std::fabs(deviate(y, r2, sd));
+      ASSERT_FALSE(Rng::polar_below(y, r2, var, t))
+          << "y " << y << " r2 " << r2 << " sd " << sd << " |deviate| " << t;
+      ASSERT_FALSE(Rng::polar_below(y, r2, var, std::nextafter(t, 0.0)));
+      if (r2 >= 0.5 && t > 0.0) {
+        ++near_center;
+        passed += Rng::polar_below(y, r2, var, 1.1 * t) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(passed, near_center);
+  // No slack, a negative or a NaN one promises nothing.
+  const double var = Rng::polar_scaled_var(1.0);
+  for (const double slack : {0.0, -1.0, -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(Rng::polar_below(0.0, 1.0, var, slack)) << slack;
+    EXPECT_FALSE(Rng::polar_below(0.1, 0.5, var, slack)) << slack;
+  }
+}
+
+TEST(RngSift, SlackedFillKeepsOrZeroesEachDrawAndTheStream) {
+  // Per-element slacks around each draw's own magnitude (at it, one ulp
+  // either side, a little and far above), plus 0, negative, NaN and inf.
+  // Without a slack every fill/round entry pair is bit-equal to the plain
+  // fill. With one, each entry is bit-equal to it, or +0.0 where that one
+  // is below its slack in magnitude; every entry pair writes the same
+  // values; and the engines carry on identically afterwards.
+  const auto fills = fill_entries();
+  const auto rounds = round_entries();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::size_t zeroed = 0;
+  std::size_t total = 0;
+  for (const Rng& root : streams()) {
+    for (const double sd : {1e-300, 0.0015, 0.45, 3.6}) {
+      for (const std::size_t n : {1, 3, 64, 65, 917}) {
+        Rng plain = root;
+        std::vector<double> want(n);
+        plain.normal_fill(want.data(), n, 0.0, sd);
+        std::vector<double> slack(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double a = std::fabs(want[i]);
+          const double up = std::nextafter(a, kInf);
+          const double down = std::nextafter(a, 0.0);
+          const double choices[] = {a, up, down, 1.5 * a, 1e3 * a, 0.0, -a, kNan, kInf};
+          slack[i] = choices[i % std::size(choices)];
+        }
+        std::vector<double> first;
+        for (const auto& [fill_name, fill] : fills) {
+          for (const auto& [round_name, round] : rounds) {
+            SCOPED_TRACE(::testing::Message() << fill_name << "/" << round_name
+                                              << " seed " << root.engine_seed()
+                                              << " sd " << sd << " n " << n);
+            Rng unsifted = root;
+            std::vector<double> got(n, -7.0);
+            unsifted.normal_fill(got.data(), n, 0.0, sd, fill, nullptr, round);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(bits(got[i]), bits(want[i])) << "unsifted, i " << i;
+            }
+            Rng rng = root;
+            rng.normal_fill(got.data(), n, 0.0, sd, fill, slack.data(), round);
+            for (std::size_t i = 0; i < n; ++i) {
+              if (bits(got[i]) == bits(want[i])) continue;
+              ASSERT_EQ(bits(got[i]), bits(0.0)) << "i " << i;
+              ASSERT_LT(std::fabs(want[i]), slack[i]) << "i " << i;
+            }
+            if (first.empty()) {
+              first = got;
+              for (std::size_t i = 0; i < n; ++i) {
+                zeroed += bits(got[i]) != bits(want[i]) ? 1 : 0;
+              }
+              total += n;
+            } else {
+              for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(bits(got[i]), bits(first[i])) << "i " << i;
+              }
+            }
+            Rng next = plain;
+            for (int k = 0; k < 16; ++k) {
+              const std::uint64_t want_next = bits(next.uniform());
+              ASSERT_EQ(bits(rng.uniform()), want_next);
+              ASSERT_EQ(bits(unsifted.uniform()), want_next);
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sift is not vacuous: slacks above the draw drop most of them.
+  EXPECT_GT(zeroed, total / 8);
+}
+
 TEST(RngStream, OtherDistributionsMatchStd) {
   constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
   constexpr auto kMax = std::numeric_limits<std::int64_t>::max();

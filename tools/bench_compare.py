@@ -32,6 +32,15 @@ Entries present in the baseline but absent from the current run fail as a
 tripwire (a kernel silently dropped from the bench would otherwise pass).
 Both files must be the same format.
 
+A third mode checks determinism across legs of one bench (shard counts,
+EFD_SIMD settings):
+
+    tools/bench_compare.py --same-digests A.json B.json [C.json ...]
+
+Every digest metric ("digest6_*" and "sweep_digest6") of A must equal B's,
+C's, ... exactly, with the same set of names in every file and at least
+one digest present; each `--require NAME` must be among them.
+
 Exit status: 0 on pass, 1 on any failure, 2 on usage/IO errors.
 """
 
@@ -224,17 +233,72 @@ def warn_profile_diff(cur, base, max_regress):
         print(f"  warn profile phase '{name}' absent from baseline")
 
 
+def digest_map(path):
+    """Name -> value of the document's digest metrics."""
+    return {name: value for name, value in metric_map(load(path), path).items()
+            if name.startswith("digest6_") or name == "sweep_digest6"}
+
+
+def show(value):
+    return f"{value:.0f}" if is_number(value) else repr(value)
+
+
+def same_digests(paths, required):
+    """--same-digests: the first file's digests against every other's."""
+    ref_path, others = paths[0], paths[1:]
+    ref = digest_map(ref_path)
+    failures = []
+    if not ref:
+        failures.append(f"{ref_path}: no digest metrics emitted")
+    failures += [f"{ref_path}: required digest '{name}' missing"
+                 for name in required if name not in ref]
+    for path in others:
+        other = digest_map(path)
+        if other.keys() != ref.keys():
+            failures.append(f"{path}: digest names differ from {ref_path}: "
+                            f"{sorted(other.keys() ^ ref.keys())}")
+        for name in sorted(ref.keys() & other.keys()):
+            if other[name] != ref[name]:
+                print(f"DIGEST MISMATCH {name}: {ref_path} {show(ref[name])} "
+                      f"{path} {show(other[name])}")
+                failures.append(f"{path}: digest '{name}' differs")
+    if failures:
+        print(f"\nbench_compare: {len(failures)} failure(s):", file=sys.stderr)
+        for f in failures:
+            print(f"  - {f}", file=sys.stderr)
+        return 1
+    for name in sorted(ref):
+        print(f"ok   {name} = {show(ref[name])}")
+    print(f"\nbench_compare: {len(others) + 1} runs carry the same "
+          f"{len(ref)} digest(s)")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("current", help="freshly produced BENCH_<figure>.json")
-    ap.add_argument("baseline", help="committed baseline json")
+    ap.add_argument("current", nargs="?",
+                    help="freshly produced BENCH_<figure>.json")
+    ap.add_argument("baseline", nargs="?", help="committed baseline json")
     ap.add_argument("--max-regress", type=float, default=0.25,
                     help="allowed relative perf regression (default 0.25)")
     ap.add_argument("--skip-perf", action="store_true",
                     help="only check shape metrics (for hosts with no "
                          "comparable baseline timing)")
+    ap.add_argument("--same-digests", nargs="+", metavar="BENCH_JSON",
+                    help="check that these runs of one bench carry identical "
+                         "digest metrics (replaces current/baseline)")
+    ap.add_argument("--require", action="append", default=[], metavar="NAME",
+                    help="with --same-digests: a digest metric that must be "
+                         "present (repeatable)")
     args = ap.parse_args()
+    if args.same_digests is not None:
+        if args.current is not None or len(args.same_digests) < 2:
+            ap.error("--same-digests takes two or more files and no "
+                     "current/baseline")
+        return same_digests(args.same_digests, args.require)
+    if args.baseline is None:
+        ap.error("current and baseline are required")
 
     cur, base = load(args.current), load(args.baseline)
     if is_gbench(base) != is_gbench(cur):

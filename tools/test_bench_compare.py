@@ -375,5 +375,70 @@ class KernelSpeedupCompareTest(CompareTestBase):
         self.assertIn("cannot compare", r.stderr)
 
 
+class SameDigestsTest(CompareTestBase):
+    """--same-digests: the determinism gate across legs of one bench."""
+
+    def run_same(self, *args):
+        return subprocess.run(
+            [sys.executable, SCRIPT, *args],
+            capture_output=True, text=True, check=False)
+
+    def legs(self, *metric_lists):
+        return [self.write(f"leg{i}.json", doc(ms))
+                for i, ms in enumerate(metric_lists)]
+
+    def test_equal_digests_pass_and_list_each(self):
+        ms = [metric("digest6_10", 111), metric("sweep_digest6", 222),
+              metric("wall_clock_s", 1.0)]
+        r = self.run_same("--require", "sweep_digest6", "--same-digests",
+                          *self.legs(ms, ms, ms))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("ok   digest6_10 = 111", r.stdout)
+        self.assertIn("ok   sweep_digest6 = 222", r.stdout)
+
+    def test_other_metrics_may_differ(self):
+        a = [metric("digest6_x", 5), metric("median_mbps", 1.0)]
+        b = [metric("digest6_x", 5), metric("median_mbps", 2.0)]
+        r = self.run_same("--same-digests", *self.legs(a, b))
+        self.assertEqual(r.returncode, 0, r.stderr)
+
+    def test_mismatch_in_any_leg_fails(self):
+        a = [metric("digest6_x", 5)]
+        r = self.run_same("--same-digests", *self.legs(a, a, [metric("digest6_x", 6)]))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("DIGEST MISMATCH digest6_x", r.stdout)
+        self.assertIn("leg2.json", r.stdout)
+
+    def test_different_name_sets_fail(self):
+        a = [metric("digest6_x", 5)]
+        b = [metric("digest6_x", 5), metric("digest6_y", 7)]
+        r = self.run_same("--same-digests", *self.legs(a, b))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("digest6_y", r.stderr)
+
+    def test_no_digests_fail(self):
+        a = [metric("median_mbps", 1.0)]
+        r = self.run_same("--same-digests", *self.legs(a, a))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("no digest metrics", r.stderr)
+
+    def test_missing_required_digest_fails(self):
+        a = [metric("digest6_10", 111)]
+        r = self.run_same("--require", "sweep_digest6", "--same-digests",
+                          *self.legs(a, a))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("sweep_digest6", r.stderr)
+
+    def test_one_file_is_usage_error(self):
+        r = self.run_same("--same-digests", *self.legs([metric("digest6_x", 1)]))
+        self.assertEqual(r.returncode, 2)
+
+    def test_unreadable_leg_is_usage_error(self):
+        a = self.legs([metric("digest6_x", 1)])[0]
+        r = self.run_same("--same-digests", a,
+                          os.path.join(self.tmp.name, "absent.json"))
+        self.assertEqual(r.returncode, 2)
+
+
 if __name__ == "__main__":
     unittest.main()
