@@ -141,6 +141,33 @@ TEST(ChaosCampus, RandomCampusStormIsSeedDeterministic) {
   EXPECT_EQ(rb.board_digests, ra.board_digests);
 }
 
+// --- Golden pins --------------------------------------------------------------
+
+/// FNV-1a over the bytes of a fault trace: one 64-bit pin for the whole
+/// rendered trace.
+std::uint64_t trace_hash(const std::string& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : trace) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ChaosCampus, StormDigestsMatchTheGoldenPins) {
+  // Shard-count invariance alone cannot catch a change that moves every
+  // fold the same way; these absolute values can. Recorded with gcc.
+  const CampusResult r = run_campus(stormy_campus(2));
+  EXPECT_EQ(r.digest, 0x41873fb18599eb62ULL);
+  EXPECT_EQ(r.board_digests,
+            (std::vector<std::uint64_t>{
+                0xbed986534fc31cf4ULL, 0x6a680c935f32f35dULL,
+                0xa87d0cff9c03f592ULL, 0xef6ad27972e0f131ULL,
+                0x6683e0810fee2d11ULL}));
+  EXPECT_EQ(r.fault_trace.size(), 940u);
+  EXPECT_EQ(trace_hash(r.fault_trace), 0x9a4fe3b527cdfdcdULL);
+}
+
 // --- Checkpoint / restore ---------------------------------------------------
 
 TEST(ChaosCampus, CheckpointRestoreReplaysTheUninterruptedDigests) {

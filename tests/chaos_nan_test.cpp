@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/fault/fault.hpp"
@@ -75,6 +76,55 @@ TEST(ChaosNan, StormTracesAndDigestsAreShardCountInvariant) {
     EXPECT_EQ(r.partition_drops, r1.partition_drops) << "shards=" << shards;
     EXPECT_EQ(r.relay_forwards, r1.relay_forwards) << "shards=" << shards;
   }
+}
+
+/// FNV-1a over the bytes of a fault trace: one 64-bit pin for the whole
+/// rendered trace.
+std::uint64_t trace_hash(const std::string& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : trace) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ChaosNan, StormDigestsMatchTheGoldenPins) {
+  // Shard-count invariance alone cannot catch a change that moves every
+  // fold the same way; these absolute values can. Recorded with gcc.
+  const NanResult r = run_nan(stormy_nan(2));
+  EXPECT_EQ(r.digest, 0x0bb0d8f282253312ULL);
+  EXPECT_EQ(r.transformer_digests,
+            (std::vector<std::uint64_t>{
+                0x917de86123cee4ceULL, 0xab3d7659be03fdf8ULL,
+                0x591f0cd82957ec85ULL, 0xbcdb78025f276079ULL}));
+  EXPECT_EQ(r.fault_trace.size(), 746u);
+  EXPECT_EQ(trace_hash(r.fault_trace), 0xb8f1cddffcb7e763ULL);
+  EXPECT_EQ(r.dup_copies, 152u);
+  EXPECT_EQ(r.dup_bytes, 76455u);
+  EXPECT_EQ(r.wins_plc, 107u);
+  EXPECT_EQ(r.wins_wifi, 43u);
+  EXPECT_EQ(r.suppressed, 95u);
+  EXPECT_EQ(r.stragglers, 0u);
+  EXPECT_EQ(r.relay_meters, 0u);
+  EXPECT_EQ(r.relay_forwards, 0u);
+  EXPECT_EQ(r.relay_hops_max, 0);
+
+  // The storm feeder plans no relay paths, so pin a relaying run too (the
+  // config of RelayEngagesAndStaysShardCountInvariant).
+  NanRunConfig relay = small_nan(2);
+  relay.nan.seed = 19;
+  relay.mode = DiversityMode::kPlcOnly;
+  relay.relay.connect_etx = 1.05;
+  relay.relay.max_hops = 3;
+  const NanResult rr = run_nan(relay);
+  EXPECT_EQ(rr.digest, 0x988c4a17961c51e7ULL);
+  EXPECT_EQ(rr.transformer_digests,
+            (std::vector<std::uint64_t>{0xa1cd17399402cbf0ULL, 0x2702e488db1c4d59ULL,
+                                        0xc56617d4186c1123ULL, 0x532fb4f8096177e9ULL}));
+  EXPECT_EQ(rr.relay_meters, 3u);
+  EXPECT_EQ(rr.relay_forwards, 39u);
+  EXPECT_EQ(rr.relay_hops_max, 2);
 }
 
 TEST(ChaosNan, StormChangesTheDigestButNotTheFaultFreeOne) {
