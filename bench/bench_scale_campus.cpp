@@ -9,22 +9,13 @@
 #include <chrono>
 #include <cstring>
 
+#include "src/sim/checkpoint.hpp"
 #include "src/sim/sharded.hpp"
 #include "src/testbed/campus.hpp"
 
 using namespace efd;
 
 namespace {
-
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
 
 /// Shape metrics go through JsonReporter's %.6g formatting, so a digest must
 /// fit six significant digits to round-trip exactly.
@@ -50,7 +41,7 @@ int main(int argc, char** argv) {
               "shards", "events", "events/s", "delivered", "remote",
               "balance", "digest");
 
-  Fnv1a sweep;
+  sim::Fnv1a64 sweep;
   double worst_balance = 1.0;
   for (const int outlets : {10, 100, 1'000, 10'000}) {
     if (outlets > max_outlets) continue;

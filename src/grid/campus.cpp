@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/sim/rng.hpp"
+#include "src/sim/sharded.hpp"
 
 namespace efd::grid {
 
@@ -20,12 +21,16 @@ constexpr double kWifiNsPerMeter = 3.34;
 /// Minimum frame a gateway must fully receive before it can forward.
 constexpr double kMinFrameBits = 64.0 * 8.0;
 
-/// Gateway processing floors (decode + re-encode + queue). These set the
-/// window granularity of the conservative protocol: ~0.5 ms of lookahead
-/// means a 200 ms campus run synchronizes a few hundred times, not
-/// millions.
-constexpr std::int64_t kPlcGatewayFloorNs = 750'000;
-constexpr std::int64_t kWifiGatewayFloorNs = 400'000;
+/// Office gateways. The processing floors set the window granularity of the
+/// conservative protocol: ~0.5 ms of lookahead means a 200 ms campus run
+/// synchronizes a few hundred times, not millions.
+constexpr GatewayConstants kCampusGateways{200.0, 150.0, 2.0, 4.0, 750'000,
+                                           400'000};
+
+/// Riser cables through the shaft (the path the paper's testbed measured
+/// as barely usable for direct PLC) and building-to-building WiFi bridges.
+constexpr CrossingDraws kCampusDraws{
+    {10.0, 35.0}, {40.0, 60.0}, {40.0, 150.0}, {65.0, 80.0}};
 
 }  // namespace
 
@@ -37,18 +42,49 @@ const char* to_string(BoundaryKind k) {
   return "unknown";
 }
 
-sim::Time CampusTopology::derive_lookahead(BoundaryKind kind, double length_m,
-                                           double budget_db) {
+sim::Time derive_lookahead(const GatewayConstants& g, BoundaryKind kind,
+                           double length_m, double budget_db) {
   const bool plc = kind == BoundaryKind::kPlcBackbone;
   const double prop_ns = (plc ? kPlcNsPerMeter : kWifiNsPerMeter) * length_m;
   // Budget-limited forwarding rate: every dB of crossing attenuation costs
   // carriers/bit-loading, so the worst crossings serialize slowest. The
   // clamp keeps even an absurd budget from zeroing the rate.
   const double rate_mbps =
-      std::clamp((plc ? 200.0 : 150.0) - 2.0 * budget_db, 4.0, 200.0);
+      std::clamp((plc ? g.plc_mbps : g.wifi_mbps) - g.mbps_per_db * budget_db,
+                 g.min_mbps, g.plc_mbps);
   const double ser_ns = kMinFrameBits / rate_mbps * 1e3;
-  const std::int64_t floor_ns = plc ? kPlcGatewayFloorNs : kWifiGatewayFloorNs;
+  const std::int64_t floor_ns = plc ? g.plc_floor_ns : g.wifi_floor_ns;
   return sim::Time{floor_ns + static_cast<std::int64_t>(prop_ns + ser_ns)};
+}
+
+std::vector<BoundaryLink> chain_and_bridge_links(int n_cells, int per_group,
+                                                 const CrossingDraws& draws,
+                                                 const GatewayConstants& g,
+                                                 sim::Rng& rng) {
+  std::vector<BoundaryLink> links;
+  const auto add = [&](int a, int b, BoundaryKind kind,
+                       const CrossingDraws::Range& m,
+                       const CrossingDraws::Range& db) {
+    BoundaryLink l;
+    l.board_a = a;
+    l.board_b = b;
+    l.kind = kind;
+    l.length_m = rng.uniform(m.lo, m.hi);
+    l.budget_db = rng.uniform(db.lo, db.hi);
+    l.lookahead = derive_lookahead(g, l.kind, l.length_m, l.budget_db);
+    links.push_back(l);
+  };
+  for (int c = 0; c + 1 < n_cells; ++c) {
+    if (c / per_group != (c + 1) / per_group) continue;
+    add(c, c + 1, BoundaryKind::kPlcBackbone, draws.backbone_m,
+        draws.backbone_db);
+  }
+  const int n_groups = (n_cells + per_group - 1) / per_group;
+  for (int grp = 0; grp + 1 < n_groups; ++grp) {
+    add(grp * per_group, (grp + 1) * per_group, BoundaryKind::kWifiBridge,
+        draws.bridge_m, draws.bridge_db);
+  }
+  return links;
 }
 
 CampusTopology CampusTopology::generate(const CampusConfig& cfg) {
@@ -65,52 +101,13 @@ CampusTopology CampusTopology::generate(const CampusConfig& cfg) {
   for (int b = 0; b < t.n_boards_; ++b) {
     t.building_of_[static_cast<std::size_t>(b)] = b / cfg.boards_per_building;
   }
-
-  sim::Rng rng = sim::Rng{cfg.seed}.fork(0xCA3905);
-
-  // Riser chain: consecutive boards of one building share a backbone cable
-  // through the shaft, the path the paper's testbed measured as barely
-  // usable for direct PLC.
-  for (int b = 0; b + 1 < t.n_boards_; ++b) {
-    if (t.building_of_[static_cast<std::size_t>(b)] !=
-        t.building_of_[static_cast<std::size_t>(b + 1)]) {
-      continue;
-    }
-    BoundaryLink l;
-    l.board_a = b;
-    l.board_b = b + 1;
-    l.kind = BoundaryKind::kPlcBackbone;
-    l.length_m = rng.uniform(10.0, 35.0);
-    l.budget_db = rng.uniform(40.0, 60.0);
-    l.lookahead = derive_lookahead(l.kind, l.length_m, l.budget_db);
-    t.links_.push_back(l);
-  }
-
-  // Building-to-building WiFi bridges between the ground-floor boards,
-  // chaining the campus. (The hybrid story of the paper: where the copper
+  // Riser chains within each building, WiFi bridges between the buildings'
+  // ground-floor boards. (The hybrid story of the paper: where the copper
   // gives out, the radio carries the traffic.)
-  for (int bld = 0; bld + 1 < t.n_buildings_; ++bld) {
-    BoundaryLink l;
-    l.board_a = bld * cfg.boards_per_building;
-    l.board_b = (bld + 1) * cfg.boards_per_building;
-    l.kind = BoundaryKind::kWifiBridge;
-    l.length_m = rng.uniform(40.0, 150.0);
-    l.budget_db = rng.uniform(65.0, 80.0);
-    l.lookahead = derive_lookahead(l.kind, l.length_m, l.budget_db);
-    t.links_.push_back(l);
-  }
-
+  sim::Rng rng = sim::Rng{cfg.seed}.fork(0xCA3905);
+  t.links_ = chain_and_bridge_links(t.n_boards_, cfg.boards_per_building,
+                                    kCampusDraws, kCampusGateways, rng);
   return t;
-}
-
-std::vector<int> CampusTopology::neighbors(int board) const {
-  std::vector<int> out;
-  for (const BoundaryLink& l : links_) {
-    if (l.board_a == board) out.push_back(l.board_b);
-    if (l.board_b == board) out.push_back(l.board_a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 int CampusTopology::outlets_on_board(int board) const {
@@ -123,11 +120,6 @@ int CampusTopology::station_outlet(int board, int k) const {
   const int stations = std::min(cfg_.stations_per_board, outlets);
   assert(k >= 0 && k < stations);
   return k * outlets / stations;
-}
-
-int CampusTopology::shard_of_board(int board, int n_shards) const {
-  const int k = std::clamp(n_shards, 1, n_boards_);
-  return static_cast<int>(static_cast<std::int64_t>(board) * k / n_boards_);
 }
 
 void CampusTopology::build_board_grid(int board, PowerGrid& grid) const {
@@ -187,7 +179,8 @@ std::string CampusTopology::to_json(int n_shards) const {
     out += ", \"outlets\": " + std::to_string(outlets_on_board(b));
     out += ", \"stations\": " +
            std::to_string(std::min(cfg_.stations_per_board, outlets_on_board(b)));
-    out += ", \"shard\": " + std::to_string(shard_of_board(b, n_shards)) + "}";
+    out += ", \"shard\": " +
+           std::to_string(sim::block_shard(b, n_shards, n_boards_)) + "}";
   }
   out += "\n  ],\n  \"boundary_links\": [";
   for (std::size_t i = 0; i < links_.size(); ++i) {
@@ -203,7 +196,8 @@ std::string CampusTopology::to_json(int n_shards) const {
     out += ", \"budget_db\": " + std::string(buf);
     out += ", \"lookahead_ns\": " + std::to_string(l.lookahead.ns());
     out += ", \"cross_shard\": ";
-    out += shard_of_board(l.board_a, n_shards) != shard_of_board(l.board_b, n_shards)
+    out += sim::block_shard(l.board_a, n_shards, n_boards_) !=
+                   sim::block_shard(l.board_b, n_shards, n_boards_)
                ? "true"
                : "false";
     out += "}";

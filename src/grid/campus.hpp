@@ -17,6 +17,10 @@
 #include "src/grid/power_grid.hpp"
 #include "src/sim/time.hpp"
 
+namespace efd::sim {
+class Rng;
+}  // namespace efd::sim
+
 namespace efd::grid {
 
 enum class BoundaryKind {
@@ -36,6 +40,44 @@ struct BoundaryLink {
   double budget_db = 0.0;    ///< attenuation budget of the crossing
   sim::Time lookahead{};     ///< derived: see derive_lookahead()
 };
+
+/// The constants that price a workload's crossings in derive_lookahead():
+/// office gateways and NAN data concentrators differ only in these.
+struct GatewayConstants {
+  double plc_mbps = 0.0;   ///< PLC forwarding rate at a 0 dB budget, and the cap
+  double wifi_mbps = 0.0;  ///< WiFi forwarding rate at a 0 dB budget
+  double mbps_per_db = 0.0;  ///< forwarding rate lost per dB of budget
+  double min_mbps = 0.0;   ///< rate floor of the worst crossings
+  /// Processing floors (decode + re-encode + queue) per gateway medium.
+  std::int64_t plc_floor_ns = 0;
+  std::int64_t wifi_floor_ns = 0;
+};
+
+/// Conservative delivery-time bound for one crossing: propagation over
+/// `length_m`, plus store-and-forward serialization of a minimum frame at
+/// the rate the crossing's attenuation budget supports, plus the gateway's
+/// processing floor. Strictly positive by construction.
+[[nodiscard]] sim::Time derive_lookahead(const GatewayConstants& g,
+                                         BoundaryKind kind, double length_m,
+                                         double budget_db);
+
+/// Uniform draw ranges of one workload's crossing lengths and budgets.
+struct CrossingDraws {
+  struct Range {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  Range backbone_m, backbone_db, bridge_m, bridge_db;
+};
+
+/// Chain-and-bridge crossings over `n_cells` cells grouped `per_group` to a
+/// group (a building's boards, a feeder's transformers): consecutive cells
+/// of one group share a PLC backbone, and the first cells of consecutive
+/// groups are joined by a WiFi bridge. All backbone links come first; each
+/// link draws its length, then its budget, from `rng`.
+[[nodiscard]] std::vector<BoundaryLink> chain_and_bridge_links(
+    int n_cells, int per_group, const CrossingDraws& draws,
+    const GatewayConstants& g, sim::Rng& rng);
 
 struct CampusConfig {
   int n_outlets = 100;
@@ -61,9 +103,6 @@ class CampusTopology {
   }
   [[nodiscard]] const std::vector<BoundaryLink>& links() const { return links_; }
 
-  /// Boards reachable from `board` over one crossing, ascending.
-  [[nodiscard]] std::vector<int> neighbors(int board) const;
-
   /// Outlets wired to this board's panel (the last board takes the
   /// remainder of cfg.n_outlets).
   [[nodiscard]] int outlets_on_board(int board) const;
@@ -77,20 +116,9 @@ class CampusTopology {
   /// cable runs, and the appliance population. Deterministic per board.
   void build_board_grid(int board, PowerGrid& grid) const;
 
-  /// Shard owning `board` under the engine's contiguous-block split:
-  /// floor(board * n_shards / n_boards).
-  [[nodiscard]] int shard_of_board(int board, int n_shards) const;
-
-  /// Conservative delivery-time bound for one crossing: propagation over
-  /// `length_m`, plus store-and-forward serialization of a minimum frame at
-  /// the rate the crossing's attenuation budget supports, plus the
-  /// gateway's processing floor. Strictly positive by construction.
-  [[nodiscard]] static sim::Time derive_lookahead(BoundaryKind kind, double length_m,
-                                                  double budget_db);
-
   /// The whole campus as JSON: boards (building, outlets, stations, shard
-  /// under `n_shards`), crossings, and summary counts. Drives the
-  /// `efd topology` subcommand.
+  /// under `n_shards`, split as sim::block_shard), crossings, and summary
+  /// counts. Drives the `efd topology` subcommand.
   [[nodiscard]] std::string to_json(int n_shards) const;
 
  private:

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
+#include <string>
 
 #include "src/sim/rng.hpp"
 
@@ -11,33 +10,23 @@ namespace efd::grid {
 
 namespace {
 
-constexpr double kPlcNsPerMeter = 5.6;
-constexpr double kWifiNsPerMeter = 3.34;
+/// NAN data concentrators batch, decode and re-frame: slower than an
+/// office gateway, which buys the conservative protocol even more
+/// lookahead per crossing. Feeder runs are long and noisy, so the usable
+/// forwarding rate sags faster with attenuation than a campus riser, and
+/// bottoms out lower.
+constexpr GatewayConstants kNanConcentrators{120.0, 100.0, 1.5, 2.0, 900'000,
+                                             500'000};
 
-/// Minimum frame a concentrator must fully receive before forwarding.
-constexpr double kMinFrameBits = 64.0 * 8.0;
-
-/// Concentrator processing floors: a NAN data concentrator batches,
-/// decodes and re-frames — slower than an office gateway, which buys the
-/// conservative protocol even more lookahead per crossing.
-constexpr std::int64_t kPlcConcentratorFloorNs = 900'000;
-constexpr std::int64_t kWifiConcentratorFloorNs = 500'000;
+/// MV feeder runs between consecutive transformers of one feeder (hundreds
+/// of meters, with the budgets that make the far meters' direct links
+/// marginal: the relay workload), and point-to-point WiFi between adjacent
+/// feeders' head-end transformers, the diversity partner where one medium
+/// alone is not dependable enough for meter data.
+constexpr CrossingDraws kNanDraws{
+    {80.0, 300.0}, {55.0, 75.0}, {100.0, 400.0}, {65.0, 80.0}};
 
 }  // namespace
-
-sim::Time NanTopology::derive_lookahead(BoundaryKind kind, double length_m,
-                                        double budget_db) {
-  const bool plc = kind == BoundaryKind::kPlcBackbone;
-  const double prop_ns = (plc ? kPlcNsPerMeter : kWifiNsPerMeter) * length_m;
-  // Feeder runs are long and noisy: the usable forwarding rate sags faster
-  // with attenuation than a campus riser, and bottoms out lower.
-  const double rate_mbps =
-      std::clamp((plc ? 120.0 : 100.0) - 1.5 * budget_db, 2.0, 120.0);
-  const double ser_ns = kMinFrameBits / rate_mbps * 1e3;
-  const std::int64_t floor_ns =
-      plc ? kPlcConcentratorFloorNs : kWifiConcentratorFloorNs;
-  return sim::Time{floor_ns + static_cast<std::int64_t>(prop_ns + ser_ns)};
-}
 
 NanTopology NanTopology::generate(const NanConfig& cfg) {
   assert(cfg.n_meters >= 1);
@@ -54,52 +43,11 @@ NanTopology NanTopology::generate(const NanConfig& cfg) {
   for (int i = 0; i < t.n_transformers_; ++i) {
     t.feeder_of_[static_cast<std::size_t>(i)] = i / cfg.transformers_per_feeder;
   }
-
   sim::Rng rng = sim::Rng{cfg.seed}.fork(0x4A6E17);
-
-  // MV feeder runs: consecutive transformers of one feeder share the
-  // medium-voltage cable — hundreds of meters of it, with the budgets that
-  // make the far meters' direct links marginal (the relay workload).
-  for (int i = 0; i + 1 < t.n_transformers_; ++i) {
-    if (t.feeder_of_[static_cast<std::size_t>(i)] !=
-        t.feeder_of_[static_cast<std::size_t>(i + 1)]) {
-      continue;
-    }
-    BoundaryLink l;
-    l.board_a = i;
-    l.board_b = i + 1;
-    l.kind = BoundaryKind::kPlcBackbone;
-    l.length_m = rng.uniform(80.0, 300.0);
-    l.budget_db = rng.uniform(55.0, 75.0);
-    l.lookahead = derive_lookahead(l.kind, l.length_m, l.budget_db);
-    t.links_.push_back(l);
-  }
-
-  // Feeder-head WiFi: adjacent feeders' head-end transformers carry a
-  // point-to-point radio — the diversity partner where one medium alone is
-  // not dependable enough for meter data.
-  for (int f = 0; f + 1 < t.n_feeders_; ++f) {
-    BoundaryLink l;
-    l.board_a = f * cfg.transformers_per_feeder;
-    l.board_b = (f + 1) * cfg.transformers_per_feeder;
-    l.kind = BoundaryKind::kWifiBridge;
-    l.length_m = rng.uniform(100.0, 400.0);
-    l.budget_db = rng.uniform(65.0, 80.0);
-    l.lookahead = derive_lookahead(l.kind, l.length_m, l.budget_db);
-    t.links_.push_back(l);
-  }
-
+  t.links_ = chain_and_bridge_links(t.n_transformers_,
+                                    cfg.transformers_per_feeder, kNanDraws,
+                                    kNanConcentrators, rng);
   return t;
-}
-
-std::vector<int> NanTopology::neighbors(int transformer) const {
-  std::vector<int> out;
-  for (const BoundaryLink& l : links_) {
-    if (l.board_a == transformer) out.push_back(l.board_b);
-    if (l.board_b == transformer) out.push_back(l.board_a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 int NanTopology::meters_on_transformer(int transformer) const {
@@ -117,12 +65,6 @@ int NanTopology::station_outlet(int transformer, int k) const {
   const int stations = stations_on_transformer(transformer);
   assert(k >= 0 && k < stations);
   return k * meters / stations;
-}
-
-int NanTopology::shard_of(int transformer, int n_shards) const {
-  const int k = std::clamp(n_shards, 1, n_transformers_);
-  return static_cast<int>(static_cast<std::int64_t>(transformer) * k /
-                          n_transformers_);
 }
 
 void NanTopology::build_transformer_grid(int transformer, PowerGrid& grid) const {
@@ -166,47 +108,6 @@ void NanTopology::build_transformer_grid(int transformer, PowerGrid& grid) const
         static_cast<std::uint64_t>(i);
     grid.add_appliance(make_appliance(kPalette[pick], i, seed));
   }
-}
-
-std::string NanTopology::to_json(int n_shards) const {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"n_meters\": " + std::to_string(cfg_.n_meters);
-  out += ",\n  \"n_transformers\": " + std::to_string(n_transformers_);
-  out += ",\n  \"n_feeders\": " + std::to_string(n_feeders_);
-  out += ",\n  \"n_shards\": " +
-         std::to_string(std::clamp(n_shards, 1, n_transformers_));
-  out += ",\n  \"seed\": " + std::to_string(cfg_.seed);
-  out += ",\n  \"transformers\": [";
-  for (int i = 0; i < n_transformers_; ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"transformer\": " + std::to_string(i);
-    out += ", \"feeder\": " + std::to_string(feeder_of(i));
-    out += ", \"meters\": " + std::to_string(meters_on_transformer(i));
-    out += ", \"stations\": " + std::to_string(stations_on_transformer(i));
-    out += ", \"shard\": " + std::to_string(shard_of(i, n_shards)) + "}";
-  }
-  out += "\n  ],\n  \"boundary_links\": [";
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    const BoundaryLink& l = links_[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"a\": " + std::to_string(l.board_a);
-    out += ", \"b\": " + std::to_string(l.board_b);
-    out += ", \"kind\": \"" + std::string(to_string(l.kind)) + "\"";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.1f", l.length_m);
-    out += ", \"length_m\": " + std::string(buf);
-    std::snprintf(buf, sizeof(buf), "%.1f", l.budget_db);
-    out += ", \"budget_db\": " + std::string(buf);
-    out += ", \"lookahead_ns\": " + std::to_string(l.lookahead.ns());
-    out += ", \"cross_shard\": ";
-    out += shard_of(l.board_a, n_shards) != shard_of(l.board_b, n_shards)
-               ? "true"
-               : "false";
-    out += "}";
-  }
-  out += "\n  ]\n}\n";
-  return out;
 }
 
 }  // namespace efd::grid

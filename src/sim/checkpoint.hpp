@@ -13,14 +13,19 @@
 // digest of its own payload, so a truncated or corrupted checkpoint is
 // rejected instead of silently "verifying".
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "src/sim/time.hpp"
+
 namespace efd::sim {
 
-/// FNV-1a over little-endian u64 words; the same constants every digest
-/// stream in the repo uses, so checkpoint fingerprints fold naturally into
-/// campus-level digests.
+/// FNV-1a over little-endian u64 words; the one digest stream every
+/// fingerprint in the repo folds through (engine checkpoints, campus and NAN
+/// cell digests, testkit run traces). Narrower values are widened to a u64
+/// word first: ints sign-extended, doubles by bit pattern, times by their
+/// nanosecond count.
 struct Fnv1a64 {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   void mix(std::uint64_t v) {
@@ -30,6 +35,9 @@ struct Fnv1a64 {
     }
   }
   void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+  void mix(int v) { mix(static_cast<std::int64_t>(v)); }
+  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  void mix(Time t) { mix(t.ns()); }
 };
 
 /// Fingerprint of one shard's slab Simulator at a horizon.

@@ -37,9 +37,8 @@ ShardedSimulator::ShardedSimulator(Config cfg) : cfg_(std::move(cfg)) {
   const auto n = static_cast<std::size_t>(cfg_.n_cells);
   shard_of_.resize(n);
   for (int c = 0; c < cfg_.n_cells; ++c) {
-    // Balanced contiguous blocks: cell c belongs to shard floor(c*k/n).
-    shard_of_[static_cast<std::size_t>(c)] = static_cast<int>(
-        (static_cast<std::int64_t>(c) * n_shards_) / cfg_.n_cells);
+    shard_of_[static_cast<std::size_t>(c)] =
+        block_shard(c, n_shards_, cfg_.n_cells);
   }
 
   shards_.reserve(static_cast<std::size_t>(n_shards_));

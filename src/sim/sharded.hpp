@@ -33,6 +33,7 @@
 // at horizon boundaries, and checkpoint() fingerprints the quiescent engine
 // for the reset-and-replay restore protocol.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -55,6 +56,14 @@ class ShardStallError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The contiguous-block split every sharded world uses: with k = n_shards
+/// clamped to [1, n_cells], cell c belongs to shard floor(c * k / n_cells).
+/// Balanced, and a pure function of the counts.
+[[nodiscard]] inline int block_shard(int cell, int n_shards, int n_cells) {
+  const int k = std::clamp(n_shards, 1, n_cells);
+  return static_cast<int>(static_cast<std::int64_t>(cell) * k / n_cells);
+}
 
 class ShardedSimulator {
  public:

@@ -1,366 +1,156 @@
 #include "src/testbed/campus.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdint>
 
-#include "src/fault/injector.hpp"
 #include "src/hybrid/gateway.hpp"
-#include "src/obs/obs.hpp"
 #include "src/plc/channel.hpp"
 #include "src/plc/network.hpp"
-#include "src/sim/rng.hpp"
 #include "src/wifi/network.hpp"
 
 namespace efd::testbed {
 
 namespace {
 
-/// Station-id space: board b owns ids [b*64, b*64+64). PLC stations sit at
-/// +0..+stations-1 (the gateway at +0), the WiFi bridge radio at +48 and
-/// the building AP at +49.
-constexpr int kIdStride = 64;
+/// A bridge endpoint's WiFi radios: the roof radio at station +48 and the
+/// building AP at +49 of the board's id block.
 constexpr int kWifiRadioOff = 48;
 constexpr int kWifiApOff = 49;
 
-/// Flows at or above this carry cross-board traffic; the flow id encodes
-/// the FINAL destination station, which survives the per-hop address
-/// rewrites (PLC -> WiFi -> boundary -> PLC).
-constexpr int kRemoteFlowBase = 1 << 24;
-
-constexpr std::uint32_t kKindBackbone = 0;
-constexpr std::uint32_t kKindBridge = 1;
-
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void mix(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-};
-
 }  // namespace
 
-/// Everything one distribution board owns. After build() only the shard
-/// thread executing the board's cell touches any of it.
-struct CampusWorld::BoardWorld {
-  int board = 0;
-  int n_stations = 0;
-  grid::PowerGrid grid;
-  std::unique_ptr<plc::PlcChannel> channel;
-  std::unique_ptr<plc::PlcNetwork> plc;
-  std::unique_ptr<wifi::WifiNetwork> wifi;  ///< bridge endpoints only
-  sim::Rng rng{0};
+/// Everything one distribution board owns beyond the runtime's Cell.
+struct CampusWorld::BoardWorld : Cell {
+  using Cell::Cell;
 
-  struct Crossing {
-    int neighbor = 0;
-    grid::BoundaryKind kind = grid::BoundaryKind::kPlcBackbone;
-    std::int64_t lookahead_ns = 0;
-    int link = -1;  ///< index into topo_.links(); kLinkPartition targets it
-  };
-  std::vector<Crossing> crossings;
-
-  /// Fault-domain state (null on fault-free runs; the fault-free digest
-  /// and allocation profile are untouched).
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<hybrid::GatewayFailover> failover;
-  bool dead = false;            ///< board blacked out right now
-  std::uint64_t dead_drops = 0; ///< boundary ingress dropped while dead
-
-  /// Order-exact stream fold: deliveries, egress posts and boundary
-  /// arrivals, mixed the instant they happen (no buffering, so the steady
-  /// state stays allocation-free).
-  Fnv1a digest;
   std::uint32_t seq = 0;
   std::uint64_t offered_local = 0;
   std::uint64_t offered_remote = 0;
   std::uint64_t delivered = 0;
-  std::uint64_t queue_drops = 0;
 
-  [[nodiscard]] int gateway_id() const { return board * kIdStride; }
-  [[nodiscard]] int radio_id() const { return board * kIdStride + kWifiRadioOff; }
-  [[nodiscard]] int ap_id() const { return board * kIdStride + kWifiApOff; }
+  [[nodiscard]] int radio_id() const { return station_id(kWifiRadioOff); }
+  [[nodiscard]] int ap_id() const { return station_id(kWifiApOff); }
 };
 
 CampusWorld::CampusWorld(const CampusRunConfig& cfg)
-    : cfg_(cfg), topo_(grid::CampusTopology::generate(cfg.campus)) {
-  sim::ShardedSimulator::Config ec;
-  ec.n_cells = topo_.n_boards();
-  ec.n_shards = cfg_.n_shards;
-  for (const grid::BoundaryLink& l : topo_.links()) {
-    ec.links.push_back({l.board_a, l.board_b, l.lookahead});
-    ec.links.push_back({l.board_b, l.board_a, l.lookahead});
-  }
-  ec.mailbox_capacity = cfg_.mailbox_capacity;
-  ec.watchdog.budget_ns = cfg_.watchdog_budget_ns;
-  engine_ = std::make_unique<sim::ShardedSimulator>(std::move(ec));
-  build();
+    : CellWorld(cfg, cfg.traffic_interval, /*bridges_fall_back=*/true,
+                "campus.build", "campus.run"),
+      cfg_(cfg),
+      topo_(grid::CampusTopology::generate(cfg.campus)) {
+  start(topo_.n_boards(), topo_.links());
 }
 
 CampusWorld::~CampusWorld() = default;
 
-void CampusWorld::build() {
-  EFD_PROF_SCOPE("campus.build");
-  boards_.clear();
-  boards_.reserve(static_cast<std::size_t>(topo_.n_boards()));
+std::unique_ptr<CellWorld::Cell> CampusWorld::make_cell(int b) {
+  auto bw = std::make_unique<BoardWorld>(b);
+  bw->n_stations =
+      std::min(cfg_.campus.stations_per_board, topo_.outlets_on_board(b));
+  bw->rng = sim::Rng{cfg_.campus.seed}.fork(
+      0x7AFF1C00 + static_cast<std::uint64_t>(b));
+  topo_.build_board_grid(b, bw->grid);
 
-  for (int b = 0; b < topo_.n_boards(); ++b) {
-    auto bw = std::make_unique<BoardWorld>();
-    bw->board = b;
-    bw->n_stations =
-        std::min(cfg_.campus.stations_per_board, topo_.outlets_on_board(b));
-    bw->rng = sim::Rng{cfg_.campus.seed}.fork(
-        0x7AFF1C00 + static_cast<std::uint64_t>(b));
-    topo_.build_board_grid(b, bw->grid);
+  sim::Simulator& sim = engine().cell_sim(b);
+  bw->channel =
+      std::make_unique<plc::PlcChannel>(bw->grid, plc::PhyParams::hpav());
+  bw->plc = std::make_unique<plc::PlcNetwork>(
+      sim, *bw->channel,
+      sim::Rng{cfg_.campus.seed}.fork(0x9E7B00 + static_cast<std::uint64_t>(b)));
 
-    for (std::size_t li = 0; li < topo_.links().size(); ++li) {
-      const grid::BoundaryLink& l = topo_.links()[li];
-      if (l.board_a == b) {
-        bw->crossings.push_back(
-            {l.board_b, l.kind, l.lookahead.ns(), static_cast<int>(li)});
-      } else if (l.board_b == b) {
-        bw->crossings.push_back(
-            {l.board_a, l.kind, l.lookahead.ns(), static_cast<int>(li)});
-      }
-    }
-
-    sim::Simulator& sim = engine_->cell_sim(b);
-    bw->channel =
-        std::make_unique<plc::PlcChannel>(bw->grid, plc::PhyParams::hpav());
-    bw->plc = std::make_unique<plc::PlcNetwork>(
-        sim, *bw->channel,
-        sim::Rng{cfg_.campus.seed}.fork(0x9E7B00 + static_cast<std::uint64_t>(b)));
-
-    BoardWorld* w = bw.get();
-    for (int k = 0; k < bw->n_stations; ++k) {
-      const int id = b * kIdStride + k;
-      const int outlet = topo_.station_outlet(b, k);
-      bw->channel->attach_station(id, outlet);
-      bw->plc->add_station(id, outlet);
-      bw->plc->station(id).mac().set_rx_handler(
-          [this, w, id](const net::Packet& p, sim::Time when) {
-            if (p.flow_id >= kRemoteFlowBase &&
-                (p.flow_id - kRemoteFlowBase) / kIdStride != w->board) {
-              // Transit traffic at the gateway: hand it off-board.
-              egress(*w, p);
-              return;
-            }
-            ++w->delivered;
-            w->digest.mix(id);
-            w->digest.mix(p.flow_id);
-            w->digest.mix(static_cast<std::uint64_t>(p.seq));
-            w->digest.mix(when.ns());
-          });
-    }
-    bw->plc->set_cco(bw->gateway_id());
-    bw->plc->set_boundary_gateway(bw->gateway_id());
-
-    const bool bridge_endpoint = std::any_of(
-        bw->crossings.begin(), bw->crossings.end(), [](const auto& c) {
-          return c.kind == grid::BoundaryKind::kWifiBridge;
+  BoardWorld* w = bw.get();
+  for (int k = 0; k < bw->n_stations; ++k) {
+    const int id = bw->station_id(k);
+    const int outlet = topo_.station_outlet(b, k);
+    bw->channel->attach_station(id, outlet);
+    bw->plc->add_station(id, outlet);
+    bw->plc->station(id).mac().set_rx_handler(
+        [this, w, id](const net::Packet& p, sim::Time when) {
+          const int dst_board = (p.flow_id - kRemoteFlowBase) / kIdStride;
+          if (p.flow_id >= kRemoteFlowBase && dst_board != w->index) {
+            // Transit traffic at the gateway: hand it off-board.
+            egress(*w, p, dst_board);
+            return;
+          }
+          ++w->delivered;
+          w->digest.mix(id);
+          w->digest.mix(p.flow_id);
+          w->digest.mix(static_cast<std::uint64_t>(p.seq));
+          w->digest.mix(when.ns());
         });
-    if (bridge_endpoint && cfg_.with_wifi) {
-      bw->wifi = std::make_unique<wifi::WifiNetwork>(
-          sim, sim::Rng{cfg_.campus.seed}.fork(
-                   0x31F1000 + static_cast<std::uint64_t>(b)));
-      bw->wifi->add_station(bw->radio_id(), 0.0, 0.0);
-      bw->wifi->add_station(bw->ap_id(), 18.0, 4.0);
-      bw->wifi->set_boundary_gateway(bw->radio_id());
-      // Roof radio: every frame it receives is egress-bound for a
-      // neighboring building.
-      bw->wifi->station(bw->radio_id())
-          .set_rx_handler([this, w](const net::Packet& p, sim::Time) {
-            const int dst_board = (p.flow_id - kRemoteFlowBase) / kIdStride;
-            post_crossing(*w, p, dst_board);
-          });
-      // Building AP: every frame it receives came over the bridge and
-      // continues onto the board's mains.
-      bw->wifi->station(bw->ap_id())
-          .set_rx_handler([w](const net::Packet& p, sim::Time) {
-            net::Packet q = p;
-            q.src = w->gateway_id();
-            q.dst = p.flow_id - kRemoteFlowBase;
-            if (!w->plc->inject_boundary(q)) ++w->queue_drops;
-          });
-    }
+  }
+  bw->plc->set_cco(bw->gateway_id());
+  bw->plc->set_boundary_gateway(bw->gateway_id());
 
-    engine_->set_cell_handler(b, [this, w](const sim::BoundaryEvent& e,
-                                           sim::Simulator&) {
-      // Fold the arrival stream before acting on it: (t, src, payload) in
-      // delivery order is exactly what conservative sync must make
-      // grouping-invariant.
-      w->digest.mix(e.t_ns);
-      w->digest.mix(e.src_cell);
-      w->digest.mix(static_cast<std::uint64_t>(e.kind));
-      w->digest.mix(e.a);
-      w->digest.mix(e.b);
-      w->digest.mix(e.c);
-      if (w->dead) {
-        // The arrival is folded (it crossed the boundary either way) but a
-        // blacked-out board has nothing powered to hand it to.
-        ++w->dead_drops;
-        return;
-      }
-      net::Packet p;
-      p.flow_id = static_cast<int>(e.b >> 32);
-      p.seq = static_cast<std::uint32_t>(e.b & 0xffffffffu);
-      p.size_bytes = e.bytes;
-      p.created = sim::Time{static_cast<std::int64_t>(e.c)};
-      p.priority = 1;
-      if (e.kind == kKindBridge && w->wifi) {
-        p.src = w->radio_id();
-        p.dst = w->ap_id();
-        if (!w->wifi->inject_boundary(p)) ++w->queue_drops;
-      } else {
-        p.src = w->gateway_id();
-        p.dst = p.flow_id - kRemoteFlowBase;
-        if (!w->plc->inject_boundary(p)) ++w->queue_drops;
-      }
-    });
+  const std::vector<Crossing>& xs = crossings(b);
+  if (std::any_of(xs.begin(), xs.end(), [](const Crossing& x) {
+        return x.kind == grid::BoundaryKind::kWifiBridge;
+      })) {
+    bw->wifi = std::make_unique<wifi::WifiNetwork>(
+        sim, sim::Rng{cfg_.campus.seed}.fork(
+                 0x31F1000 + static_cast<std::uint64_t>(b)));
+    bw->wifi->add_station(bw->radio_id(), 0.0, 0.0);
+    bw->wifi->add_station(bw->ap_id(), 18.0, 4.0);
+    bw->wifi->set_boundary_gateway(bw->radio_id());
+    // Roof radio: every frame it receives is egress-bound for a
+    // neighboring building.
+    bw->wifi->station(bw->radio_id())
+        .set_rx_handler([this, w](const net::Packet& p, sim::Time) {
+          post_crossing(*w, p, (p.flow_id - kRemoteFlowBase) / kIdStride);
+        });
+    // Building AP: every frame it receives came over the bridge and
+    // continues onto the board's mains.
+    bw->wifi->station(bw->ap_id())
+        .set_rx_handler([w](const net::Packet& p, sim::Time) {
+          net::Packet q = p;
+          q.src = w->gateway_id();
+          q.dst = p.flow_id - kRemoteFlowBase;
+          if (!w->plc->inject_boundary(q)) ++w->queue_drops;
+        });
+  }
+  return bw;
+}
 
-    if (!cfg_.faults.empty()) wire_faults(*bw);
-    schedule_tick(*bw);
-    boards_.push_back(std::move(bw));
+void CampusWorld::deliver(Cell& c, std::uint32_t kind, net::Packet& p) {
+  auto& bw = static_cast<BoardWorld&>(c);
+  if (kind == kKindBridge && bw.wifi) {
+    p.src = bw.radio_id();
+    p.dst = bw.ap_id();
+    if (!bw.wifi->inject_boundary(p)) ++bw.queue_drops;
+  } else {
+    p.src = bw.gateway_id();
+    p.dst = p.flow_id - kRemoteFlowBase;
+    if (!bw.plc->inject_boundary(p)) ++bw.queue_drops;
   }
 }
 
-void CampusWorld::wire_faults(BoardWorld& bw) {
-  // Slice the campus-wide plan into this board's specs: board-targeted
-  // kinds stay on their board; a link partition lands on BOTH endpoint
-  // boards (each schedules the same apply/clear instants on its own cell
-  // clock, so both sides observe the cut simultaneously in sim time).
-  fault::FaultPlan local;
-  for (const fault::FaultSpec& s : cfg_.faults.specs()) {
-    if (s.kind == fault::FaultKind::kLinkPartition) {
-      if (s.target < 0 ||
-          s.target >= static_cast<int>(topo_.links().size())) {
-        continue;
-      }
-      const grid::BoundaryLink& l =
-          topo_.links()[static_cast<std::size_t>(s.target)];
-      if (l.board_a == bw.board || l.board_b == bw.board) local.add(s);
-    } else if (s.target == bw.board) {
-      local.add(s);
-    }
-  }
-
-  std::vector<bool> has_fallback;
-  has_fallback.reserve(bw.crossings.size());
-  for (const auto& c : bw.crossings) {
-    // A severed WiFi bridge falls back to the shared powerline backbone;
-    // a severed backbone crossing has no second medium and goes down.
-    has_fallback.push_back(c.kind == grid::BoundaryKind::kWifiBridge);
-  }
-  bw.failover = std::make_unique<hybrid::GatewayFailover>(std::move(has_fallback));
-
-  if (local.empty()) return;
-
-  BoardWorld* w = &bw;
-  bw.injector =
-      std::make_unique<fault::FaultInjector>(engine_->cell_sim(bw.board));
-  bw.failover->set_listener(
-      [w](int crossing, hybrid::GatewayFailover::Path path, sim::Time) {
-        // Recovery-side trace: reroutes/downs record as trips, primary
-        // restoration as recovery; severity 1 = fallback carried traffic.
-        const auto link = w->crossings[static_cast<std::size_t>(crossing)].link;
-        if (path == hybrid::GatewayFailover::Path::kPrimary) {
-          w->injector->record(fault::FaultPhase::kRecover,
-                              fault::FaultKind::kLinkPartition, link);
-        } else {
-          w->injector->record(
-              fault::FaultPhase::kTrip, fault::FaultKind::kLinkPartition, link,
-              path == hybrid::GatewayFailover::Path::kFallback ? 1.0 : 0.0);
-        }
-      });
-
-  bw.injector->set_hooks(
-      fault::FaultKind::kBoardBlackout,
-      {[w](const fault::FaultSpec&, sim::Time) {
-         w->dead = true;
-         w->plc->medium().set_fault_pb_error(1.0);
-         if (w->wifi) w->wifi->medium().set_jamming_db(200.0);
-       },
-       [w](const fault::FaultSpec&, sim::Time) {
-         w->dead = false;
-         w->plc->medium().set_fault_pb_error(0.0);
-         if (w->wifi) w->wifi->medium().set_jamming_db(0.0);
-       }});
-  bw.injector->set_hooks(
-      fault::FaultKind::kBoardBrownout,
-      {[w](const fault::FaultSpec& s, sim::Time) {
-         w->plc->medium().set_fault_pb_error(s.severity);
-       },
-       [w](const fault::FaultSpec&, sim::Time) {
-         w->plc->medium().set_fault_pb_error(0.0);
-       }});
-  bw.injector->set_hooks(
-      fault::FaultKind::kLinkPartition,
-      {[w](const fault::FaultSpec& s, sim::Time t) {
-         for (std::size_t ci = 0; ci < w->crossings.size(); ++ci) {
-           if (w->crossings[ci].link == s.target) {
-             w->failover->on_partition(static_cast<int>(ci), t);
-           }
-         }
-       },
-       [w](const fault::FaultSpec& s, sim::Time t) {
-         for (std::size_t ci = 0; ci < w->crossings.size(); ++ci) {
-           if (w->crossings[ci].link == s.target) {
-             w->failover->on_restore(static_cast<int>(ci), t);
-           }
-         }
-       }});
-
-  bw.injector->install(local);
-}
-
-void CampusWorld::schedule_tick(BoardWorld& bw) {
-  const auto jitter = static_cast<std::int64_t>(
-      static_cast<double>(cfg_.traffic_interval.ns()) * bw.rng.uniform(0.6, 1.4));
-  BoardWorld* w = &bw;
-  engine_->cell_sim(bw.board).after_inline(sim::Time{jitter},
-                                           [this, w] { tick(*w); });
-}
-
-void CampusWorld::tick(BoardWorld& bw) {
-  schedule_tick(bw);
-  if (bw.n_stations < 2) return;
-  // A blacked-out board offers nothing: its stations are unpowered. The
-  // tick chain keeps running so traffic resumes the instant power returns.
-  if (bw.dead) return;
-
+void CampusWorld::offer(Cell& c) {
+  auto& bw = static_cast<BoardWorld&>(c);
   const int src_k =
       static_cast<int>(bw.rng.uniform_int(0, bw.n_stations - 1));
-  const int src_id = bw.board * kIdStride + src_k;
 
   net::Packet p;
   p.seq = bw.seq++;
   p.size_bytes = static_cast<std::size_t>(bw.rng.uniform_int(200, 1500));
-  p.created = engine_->cell_sim(bw.board).now();
+  p.created = engine().cell_sim(bw.index).now();
   p.priority = 1;
-  p.src = src_id;
+  p.src = bw.station_id(src_k);
 
-  const bool remote =
-      !bw.crossings.empty() && bw.rng.bernoulli(cfg_.p_remote);
-  if (remote) {
-    const auto& c = bw.crossings[static_cast<std::size_t>(
-        bw.rng.uniform_int(0, static_cast<std::int64_t>(bw.crossings.size()) - 1))];
-    const int dst_stations = std::min(
-        cfg_.campus.stations_per_board, topo_.outlets_on_board(c.neighbor));
+  const std::vector<Crossing>& xs = crossings(bw.index);
+  if (!xs.empty() && bw.rng.bernoulli(cfg_.p_remote)) {
+    const Crossing& x = xs[static_cast<std::size_t>(
+        bw.rng.uniform_int(0, static_cast<std::int64_t>(xs.size()) - 1))];
+    const int dst_stations = std::min(cfg_.campus.stations_per_board,
+                                      topo_.outlets_on_board(x.neighbor));
     if (dst_stations >= 2) {
       // Never address the destination gateway itself: the final PLC hop
       // would be a station transmitting to itself.
       const int dst_k =
           1 + static_cast<int>(bw.rng.uniform_int(0, dst_stations - 2));
-      p.flow_id = kRemoteFlowBase + c.neighbor * kIdStride + dst_k;
+      p.flow_id = kRemoteFlowBase + x.neighbor * kIdStride + dst_k;
       p.dst = bw.gateway_id();
       ++bw.offered_remote;
       if (src_k == 0) {
         // The gateway sourcing off-board traffic skips its own medium.
-        egress(bw, p);
+        egress(bw, p, x.neighbor);
       } else if (!bw.plc->station(p.src).mac().enqueue(p)) {
         ++bw.queue_drops;
       }
@@ -370,159 +160,55 @@ void CampusWorld::tick(BoardWorld& bw) {
 
   int dst_k = static_cast<int>(bw.rng.uniform_int(0, bw.n_stations - 2));
   if (dst_k >= src_k) ++dst_k;
-  p.flow_id = src_id * kIdStride + dst_k;
-  p.dst = bw.board * kIdStride + dst_k;
+  p.flow_id = p.src * kIdStride + dst_k;
+  p.dst = bw.station_id(dst_k);
   ++bw.offered_local;
   if (!bw.plc->station(p.src).mac().enqueue(p)) ++bw.queue_drops;
 }
 
-void CampusWorld::egress(BoardWorld& bw, const net::Packet& p) {
-  const int dst_board = (p.flow_id - kRemoteFlowBase) / kIdStride;
-  const auto it = std::find_if(
-      bw.crossings.begin(), bw.crossings.end(),
-      [dst_board](const auto& c) { return c.neighbor == dst_board; });
-  assert(it != bw.crossings.end() && "remote flow targets a non-neighbor");
-  const int ci = static_cast<int>(it - bw.crossings.begin());
-  if (bw.failover && !bw.failover->usable(ci)) {
-    // Partitioned crossing with no fallback medium: deterministic drop.
-    bw.failover->record_drop();
-    return;
+bool CampusWorld::local_hop(Cell& c, int ci, const net::Packet& p) {
+  auto& bw = static_cast<BoardWorld&>(c);
+  if (crossings(bw.index)[static_cast<std::size_t>(ci)].kind !=
+          grid::BoundaryKind::kWifiBridge ||
+      !bw.wifi || (bw.failover && bw.failover->rerouted(ci))) {
+    return false;
   }
-  bw.plc->record_boundary_egress();
-  if (it->kind == grid::BoundaryKind::kWifiBridge && bw.wifi &&
-      !(bw.failover && bw.failover->rerouted(ci))) {
-    // Local AP -> roof radio hop first; the radio's rx handler posts the
-    // crossing when the frame actually clears the WiFi medium.
-    net::Packet q = p;
-    q.src = bw.ap_id();
-    q.dst = bw.radio_id();
-    bw.wifi->record_boundary_egress();
-    if (!bw.wifi->station(q.src).enqueue(q)) ++bw.queue_drops;
-    return;
+  net::Packet q = p;
+  q.src = bw.ap_id();
+  q.dst = bw.radio_id();
+  bw.wifi->record_boundary_egress();
+  if (!bw.wifi->station(q.src).enqueue(q)) ++bw.queue_drops;
+  return true;
+}
+
+void CampusWorld::fold(sim::Fnv1a64& f, const Cell& c) const {
+  const auto& bw = static_cast<const BoardWorld&>(c);
+  f.mix(bw.index);
+  f.mix(bw.digest.h);
+  f.mix(static_cast<std::uint64_t>(bw.seq));
+  f.mix(bw.offered_local);
+  f.mix(bw.offered_remote);
+  f.mix(bw.delivered);
+  f.mix(bw.queue_drops);
+  f.mix(bw.plc->boundary_ingress());
+  f.mix(bw.plc->boundary_egress());
+  if (bw.wifi) {
+    f.mix(bw.wifi->boundary_ingress());
+    f.mix(bw.wifi->boundary_egress());
   }
-  post_crossing(bw, p, dst_board);
-}
-
-void CampusWorld::post_crossing(BoardWorld& bw, const net::Packet& p,
-                                int dst_board) {
-  const auto it = std::find_if(
-      bw.crossings.begin(), bw.crossings.end(),
-      [dst_board](const auto& c) { return c.neighbor == dst_board; });
-  assert(it != bw.crossings.end());
-  const int ci = static_cast<int>(it - bw.crossings.begin());
-  // A bridge crossing rerouted by a partition travels the backbone: the
-  // destination hands it straight to its mains instead of its AP.
-  const bool bridge = it->kind == grid::BoundaryKind::kWifiBridge &&
-                      !(bw.failover && bw.failover->rerouted(ci));
-  const sim::Time now = engine_->cell_sim(bw.board).now();
-  sim::BoundaryEvent e;
-  e.t_ns = now.ns() + it->lookahead_ns;
-  e.src_cell = bw.board;
-  e.dst_cell = dst_board;
-  e.kind = bridge ? kKindBridge : kKindBackbone;
-  e.bytes = static_cast<std::uint32_t>(p.size_bytes);
-  e.a = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.src)) << 32) |
-        static_cast<std::uint32_t>(p.dst);
-  e.b = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.flow_id))
-         << 32) |
-        p.seq;
-  e.c = static_cast<std::uint64_t>(p.created.ns());
-  // Egress leaves the board's digest stream too: the post time is a pure
-  // function of board-local evolution, so it is grouping-invariant.
-  bw.digest.mix(e.t_ns);
-  bw.digest.mix(e.dst_cell);
-  bw.digest.mix(e.b);
-  engine_->post(e);
-}
-
-void CampusWorld::run() { run_until(cfg_.duration); }
-
-void CampusWorld::run_until(sim::Time end) {
-  EFD_PROF_SCOPE("campus.run");
-  engine_->run_until(end);
-}
-
-CampusCheckpoint CampusWorld::checkpoint() const {
-  CampusCheckpoint cp;
-  cp.engine = engine_->checkpoint();
-  cp.t = sim::Time{cp.engine.t_ns - 1};  // engine horizons are exclusive
-  cp.world_digest = result().digest;
-  return cp;
-}
-
-bool CampusWorld::restore(const CampusCheckpoint& cp) {
-  engine_->reset();
-  build();
-  engine_->run_until(cp.t);
-  return engine_->matches(cp.engine) && result().digest == cp.world_digest;
 }
 
 CampusResult CampusWorld::result() const {
   CampusResult r;
   r.n_boards = topo_.n_boards();
-  r.n_shards = engine_->n_shards();
-  r.events = engine_->events_dispatched();
-  r.shards = engine_->shard_stats();
-
-  Fnv1a f;
-  for (const auto& bw : boards_) {
-    f.mix(bw->board);
-    f.mix(bw->digest.h);
-    f.mix(static_cast<std::uint64_t>(bw->seq));
-    f.mix(bw->offered_local);
-    f.mix(bw->offered_remote);
-    f.mix(bw->delivered);
-    f.mix(bw->queue_drops);
-    f.mix(bw->plc->boundary_ingress());
-    f.mix(bw->plc->boundary_egress());
-    if (bw->wifi) {
-      f.mix(bw->wifi->boundary_ingress());
-      f.mix(bw->wifi->boundary_egress());
-    }
-    r.packets_local += bw->offered_local;
-    r.packets_remote += bw->offered_remote;
-    r.delivered += bw->delivered;
-  }
-  r.digest = f.h;
-
-  // Fault-domain accounting rides outside the digest fold above, so the
-  // fault-free digest is bit-for-bit what it was before fault domains.
-  r.board_digests.reserve(boards_.size());
-  for (const auto& bw : boards_) {
-    r.board_digests.push_back(bw->digest.h);
-    r.dead_drops += bw->dead_drops;
-    if (bw->injector) {
-      r.fault_events += bw->injector->trace().size();
-      r.fault_trace += bw->injector->trace_lines();
-    }
-    if (bw->failover) {
-      r.failovers += bw->failover->failovers();
-      r.failbacks += bw->failover->failbacks();
-      r.partition_drops += bw->failover->drops();
-    }
-  }
-  r.mailbox_peak = engine_->mailbox_peak_occupancy();
-
-  std::int64_t busy_max = 0;
-  std::int64_t busy_sum = 0;
-  for (const auto& s : r.shards) {
-    r.boundary_posted += s.boundary_posted;
-    r.boundary_delivered += s.boundary_delivered;
-    r.backpressure_waits += s.backpressure_waits;
-    busy_max = std::max(busy_max, s.busy_ns);
-    busy_sum += s.busy_ns;
-  }
-  if (!r.shards.empty() && busy_sum > 0) {
-    const double mean = static_cast<double>(busy_sum) /
-                        static_cast<double>(r.shards.size());
-    r.load_balance = static_cast<double>(busy_max) / mean;
+  fill(r, r.board_digests);
+  for (const auto& c : cells()) {
+    const auto& bw = static_cast<const BoardWorld&>(*c);
+    r.packets_local += bw.offered_local;
+    r.packets_remote += bw.offered_remote;
+    r.delivered += bw.delivered;
   }
   return r;
-}
-
-void CampusWorld::reset_and_rebuild() {
-  engine_->reset();
-  build();
 }
 
 CampusResult run_campus(const CampusRunConfig& cfg) {

@@ -1,151 +1,69 @@
 #pragma once
 
-// CampusWorld — a multi-board campus built onto the sharded event engine
-// (DESIGN.md §14, §15). One distribution board = one engine cell: the
-// board's PowerGrid, PlcChannel and PlcNetwork (plus, at WiFi-bridge
-// endpoints, a small WifiNetwork) live entirely inside the cell, touched
-// only by the shard thread that owns it. The ONLY cross-board interaction
-// is a BoundaryEvent through a gateway station, so the campus digest is
-// byte-identical for every EFD_SHARDS value — the property the scale bench
-// and the sharded tier-1 tests pin.
+// CampusWorld — a multi-board campus on the CellWorld runtime (DESIGN.md
+// §14, §15). One distribution board = one engine cell: the board's
+// PowerGrid, PlcChannel and PlcNetwork (plus, at WiFi-bridge endpoints, a
+// small WifiNetwork). The ONLY cross-board interaction is a BoundaryEvent
+// through a gateway station, so the campus digest is byte-identical for
+// every EFD_SHARDS value — the property the scale bench and the sharded
+// tier-1 tests pin.
 //
-// Fault domains (DESIGN.md §15): a CampusRunConfig may carry a FaultPlan
-// over the board-level kinds (kBoardBlackout / kBoardBrownout /
-// kLinkPartition). Each board gets its own FaultInjector scheduled on the
-// board's cell clock at absolute plan times, so the per-board fault traces
-// and digests stay byte-identical across any shard count. Partitioned WiFi
-// bridges fail over to the powerline backbone through a per-board
-// hybrid::GatewayFailover; partitioned backbone crossings drop traffic
-// deterministically.
+// What is the campus's own: the office stations, the traffic draws, the
+// WiFi-bridge hop (AP -> roof radio -> neighbor's AP) and the bridge ->
+// backbone fallback of a partitioned bridge; partitioned backbone
+// crossings drop traffic deterministically.
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "src/fault/fault.hpp"
 #include "src/grid/campus.hpp"
-#include "src/net/packet.hpp"
-#include "src/sim/checkpoint.hpp"
-#include "src/sim/sharded.hpp"
-#include "src/sim/time.hpp"
+#include "src/testbed/cell_world.hpp"
 
 namespace efd::testbed {
 
-struct CampusRunConfig {
+struct CampusRunConfig : CellRunConfig {
   grid::CampusConfig campus;
-  int n_shards = 1;
-  sim::Time duration = sim::milliseconds(200);
   /// Mean spacing of per-board traffic ticks (each offers one packet).
   sim::Time traffic_interval = sim::milliseconds(4);
   /// Probability a generated packet targets a neighboring board (one
   /// boundary crossing; the campus does not route multi-hop).
   double p_remote = 0.3;
-  /// Model WiFi-bridge crossings as a real local WiFi hop (AP -> roof
-  /// radio) before the boundary event; false posts straight from the PLC
-  /// gateway.
-  bool with_wifi = true;
-  /// Board-domain fault plan (kBoardBlackout/kBoardBrownout target a board
-  /// index, kLinkPartition a topology link index). Empty = fault-free; the
-  /// fault-free digest is unchanged by this feature.
-  fault::FaultPlan faults;
-  /// Soft per-mailbox capacity forwarded to the engine (0 = unbounded).
-  std::size_t mailbox_capacity = 0;
-  /// Shard-watchdog wall-clock budget (0 disables). The default is far
-  /// above any legitimate window's wall time, so it only fires on real
-  /// stalls/deadlocks — failing CI fast instead of hanging it.
-  std::int64_t watchdog_budget_ns = 30'000'000'000;
 };
 
-struct CampusResult {
-  /// Order-exact fold of every board's delivery and boundary streams,
-  /// combined in board order. Invariant across shard counts and across
-  /// reset-and-rebuild replays.
-  std::uint64_t digest = 0;
-  std::uint64_t events = 0;            ///< engine events across all shards
+struct CampusResult : CellResult {
   std::uint64_t packets_local = 0;     ///< offered, intra-board
   std::uint64_t packets_remote = 0;    ///< offered, cross-board
   std::uint64_t delivered = 0;         ///< handed to a destination station
-  std::uint64_t boundary_posted = 0;
-  std::uint64_t boundary_delivered = 0;
   int n_boards = 0;
-  int n_shards = 0;
-  std::vector<sim::ShardedSimulator::ShardStats> shards;
-  /// max/mean of per-shard busy wall time; 1.0 = perfectly balanced.
-  double load_balance = 1.0;
-
   /// Per-board digest stream values, in board order — the fault-domain
   /// determinism artifact (byte-identical across shard counts).
   std::vector<std::uint64_t> board_digests;
-  /// Concatenated per-board fault/recovery traces in board order; empty on
-  /// fault-free runs. Byte-identical across shard counts.
-  std::string fault_trace;
-  std::uint64_t fault_events = 0;      ///< trace records across all boards
-  std::uint64_t dead_drops = 0;        ///< ingress dropped at dead boards
-  std::uint64_t partition_drops = 0;   ///< egress dropped at kDown crossings
-  std::uint64_t failovers = 0;         ///< bridge -> backbone reroutes
-  std::uint64_t failbacks = 0;         ///< primary-path restorations
-  std::uint64_t backpressure_waits = 0;
-  std::uint64_t mailbox_peak = 0;      ///< high-water boundary-mailbox depth
 };
 
-/// Fingerprint of a campus at a quiescent horizon: the engine checkpoint
-/// plus the campus-level digest. Restore is reset-and-replay
-/// (CampusWorld::restore), verified against both digests.
-struct CampusCheckpoint {
-  sim::Time t{};                  ///< horizon the checkpoint was taken at
-  sim::EngineCheckpoint engine;
-  std::uint64_t world_digest = 0; ///< CampusResult::digest at t
-};
+using CampusCheckpoint = CellCheckpoint;
 
-class CampusWorld {
+class CampusWorld : public CellWorld {
  public:
   explicit CampusWorld(const CampusRunConfig& cfg);
-  ~CampusWorld();
-
-  /// Advance the whole campus through cfg.duration.
-  void run();
-  /// Advance through `end` (inclusive); callable repeatedly with
-  /// increasing horizons — run(); is run_until(cfg.duration).
-  void run_until(sim::Time end);
+  ~CampusWorld() override;
 
   [[nodiscard]] CampusResult result() const;
-
-  /// Fingerprint the quiescent campus (between run_until calls).
-  [[nodiscard]] CampusCheckpoint checkpoint() const;
-
-  /// Reset-and-replay restore: drop all engine/world state, rebuild, and
-  /// deterministically replay to cp.t. Returns true when both the engine
-  /// fingerprint and the campus digest match the checkpoint (FNV-1a
-  /// verified); on false the campus diverged (or cp was corrupted) and the
-  /// world is left at cp.t for inspection.
-  [[nodiscard]] bool restore(const CampusCheckpoint& cp);
-
-  /// Reset the engine and rebuild every board world from scratch; a
-  /// subsequent run() replays the identical campus (same digest).
-  void reset_and_rebuild();
-
-  [[nodiscard]] sim::ShardedSimulator& engine() { return *engine_; }
   [[nodiscard]] const grid::CampusTopology& topology() const { return topo_; }
 
  private:
   struct BoardWorld;
 
-  void build();
-  /// Slice cfg_.faults into this board's specs and wire its injector,
-  /// effect hooks and gateway failover.
-  void wire_faults(BoardWorld& bw);
-  void tick(BoardWorld& bw);
-  void schedule_tick(BoardWorld& bw);
-  /// Egress half of a crossing: forward `p` (flow marks the final station)
-  /// out of `bw`, over the WiFi hop when the crossing is a bridge.
-  void egress(BoardWorld& bw, const net::Packet& p);
-  void post_crossing(BoardWorld& bw, const net::Packet& p, int dst_board);
+  std::unique_ptr<Cell> make_cell(int b) override;
+  void offer(Cell& c) override;
+  void deliver(Cell& c, std::uint32_t kind, net::Packet& p) override;
+  void fold(sim::Fnv1a64& f, const Cell& c) const override;
+  /// A bridge crossing that is not rerouted takes the local AP -> roof
+  /// radio WiFi hop first; the radio posts it when the frame clears.
+  bool local_hop(Cell& c, int ci, const net::Packet& p) override;
 
   CampusRunConfig cfg_;
   grid::CampusTopology topo_;
-  std::unique_ptr<sim::ShardedSimulator> engine_;
-  std::vector<std::unique_ptr<BoardWorld>> boards_;
 };
 
 /// Build, run and summarize one campus in a single call.

@@ -1,33 +1,14 @@
 #include "src/testkit/world.hpp"
 
-#include <bit>
 #include <string>
 
 #include "src/obs/obs.hpp"
+#include "src/sim/checkpoint.hpp"
 
 namespace efd::testkit {
 
-namespace {
-
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(sim::Time t) { mix(static_cast<std::uint64_t>(t.ns())); }
-  void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
-};
-
-}  // namespace
-
 std::uint64_t RunTrace::digest() const {
-  Fnv1a f;
+  sim::Fnv1a64 f;
   f.mix(static_cast<std::uint64_t>(sofs.size()));
   for (const plc::SofRecord& s : sofs) {
     f.mix(s.start);
@@ -38,9 +19,9 @@ std::uint64_t RunTrace::digest() const {
     f.mix(s.ble_mbps);
     f.mix(s.n_pbs);
     f.mix(s.n_symbols);
-    f.mix(s.robo);
-    f.mix(s.sound);
-    f.mix(s.broadcast);
+    f.mix(int{s.robo});
+    f.mix(int{s.sound});
+    f.mix(int{s.broadcast});
   }
   f.mix(static_cast<std::uint64_t>(delivered.size()));
   for (const DeliveredPacket& d : delivered) {

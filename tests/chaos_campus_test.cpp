@@ -122,6 +122,26 @@ TEST(ChaosCampus, BridgePartitionFailsOverToTheBackbone) {
   EXPECT_EQ(r.dead_drops, 0u);
 }
 
+TEST(ChaosCampus, PlcBlackoutAndWifiJamReachTheBoardMedia) {
+  // The campus shares the NAN's fault hook table: a PLC surge bites every
+  // board, a WiFi jam only a bridge endpoint (board 3 carries the 0-3
+  // bridge; board 1 has no radio).
+  const CampusResult clean = run_campus(small_campus(2));
+  const auto with = [](fault::FaultKind kind, int board) {
+    CampusRunConfig cfg = small_campus(2);
+    cfg.faults.add({sim::milliseconds(5), sim::milliseconds(60), kind, board,
+                    kind == fault::FaultKind::kWifiJam ? 200.0 : 1.0});
+    return run_campus(cfg);
+  };
+  const CampusResult surge = with(fault::FaultKind::kPlcBlackout, 4);
+  const CampusResult jam = with(fault::FaultKind::kWifiJam, 3);
+  const CampusResult no_radio = with(fault::FaultKind::kWifiJam, 1);
+  EXPECT_NE(surge.digest, clean.digest);
+  EXPECT_NE(jam.digest, clean.digest);
+  EXPECT_EQ(no_radio.digest, clean.digest);
+  EXPECT_GT(no_radio.fault_events, 0u);
+}
+
 TEST(ChaosCampus, RandomCampusStormIsSeedDeterministic) {
   fault::FaultPlan::CampusStormConfig sc;
   sc.n_boards = 5;

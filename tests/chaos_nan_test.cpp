@@ -258,5 +258,55 @@ TEST(ChaosNan, ResetAndRebuildReplaysTheIdenticalNan) {
   EXPECT_EQ(second.transformer_digests, first.transformer_digests);
 }
 
+// --- Checkpoint / restore (the shared CellWorld runtime) -------------------
+
+TEST(ChaosNan, CheckpointRestoreReplaysTheUninterruptedDigests) {
+  // Reference: one uninterrupted run through the full duration.
+  const NanResult full = run_nan(stormy_nan(2));
+
+  // Interrupted run: stop mid-storm, fingerprint, keep going — continuing
+  // from a quiescent horizon must not perturb the timeline.
+  NanWorld world(stormy_nan(2));
+  world.run_until(sim::milliseconds(40));
+  const CellCheckpoint cp = world.checkpoint();
+  EXPECT_EQ(cp.engine.n_shards, 2);
+  EXPECT_EQ(cp.engine.n_cells, 4);
+  world.run_until(sim::milliseconds(80));
+  const NanResult continued = world.result();
+  EXPECT_EQ(continued.digest, full.digest);
+  EXPECT_EQ(continued.fault_trace, full.fault_trace);
+  EXPECT_EQ(continued.transformer_digests, full.transformer_digests);
+
+  // Restore rewinds to the checkpoint (reset + deterministic replay,
+  // FNV-verified) and replaying to the end reproduces the same digests.
+  ASSERT_TRUE(world.restore(cp));
+  world.run_until(sim::milliseconds(80));
+  const NanResult replayed = world.result();
+  EXPECT_EQ(replayed.digest, full.digest);
+  EXPECT_EQ(replayed.fault_trace, full.fault_trace);
+  EXPECT_EQ(replayed.transformer_digests, full.transformer_digests);
+  EXPECT_EQ(replayed.delivered, full.delivered);
+  EXPECT_EQ(replayed.suppressed, full.suppressed);
+  EXPECT_EQ(replayed.dead_drops, full.dead_drops);
+}
+
+TEST(ChaosNan, RestoreRejectsACorruptedCheckpoint) {
+  NanWorld world(stormy_nan(1));
+  world.run_until(sim::milliseconds(30));
+  const CellCheckpoint good = world.checkpoint();
+
+  CellCheckpoint bad = good;
+  bad.world_digest ^= 1;
+  EXPECT_FALSE(world.restore(bad));
+
+  CellCheckpoint tampered = good;
+  ASSERT_FALSE(tampered.engine.shards.empty());
+  tampered.engine.shards[0].pending_digest ^= 1;
+  EXPECT_FALSE(world.restore(tampered));
+
+  // The genuine fingerprint still restores after the failed attempts.
+  EXPECT_TRUE(world.restore(good));
+}
+
 }  // namespace
 }  // namespace efd::testbed
