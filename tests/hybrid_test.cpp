@@ -6,6 +6,11 @@
 
 #include "src/hybrid/link_metrics.hpp"
 #include "src/net/meters.hpp"
+#include "src/net/sources.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/sim/checkpoint.hpp"
+#include "src/testbed/experiment.hpp"
+#include "src/testbed/testbed.hpp"
 
 namespace efd::hybrid {
 namespace {
@@ -357,6 +362,67 @@ TEST(HybridDevice, AggregatesTwoPipes) {
   const double frac = tx_dev.sent_per_interface(0) /
                       static_cast<double>(500);
   EXPECT_NEAR(frac, 0.8, 0.07);
+}
+
+TEST(HybridDevice, SaturatedTestbedRunMatchesTheGoldenPins) {
+  // The Fig. 20 pair at 400 Mb/s of UDP through HybridDevice +
+  // CapacityScheduler. Most offered sequences die at a full tx queue, so the
+  // receiver's resequencer runs at max_buffered with its overflow valve
+  // firing on almost every packet. These absolute values pin delivery order
+  // and times and every reorder counter. Recorded with gcc.
+  obs::MetricsRegistry::instance().reset();
+  sim::Simulator sim;
+  testbed::Testbed::Config cfg;
+  cfg.with_hpav500 = false;
+  testbed::Testbed tb(sim, cfg);
+  sim.run_until(testbed::weekday_afternoon());
+  int src = -1;
+  int dst = -1;
+  for (const auto& [a, b] : tb.plc_links()) {
+    if (tb.plc_channel().mean_snr_db(a, b, 0, sim.now()) < 18.0) continue;
+    const double wifi_snr = tb.wifi().channel().mean_snr_db(a, b);
+    if (wifi_snr > 12.0 && wifi_snr < 25.0) {
+      src = a;
+      dst = b;
+      break;
+    }
+  }
+  ASSERT_GE(src, 0);
+  const auto plc = testbed::measure_plc_throughput(tb, src, dst, sim::seconds(1));
+  const auto wifi = testbed::measure_wifi_throughput(tb, src, dst, sim::seconds(1));
+
+  HybridDevice tx(sim, {&tb.plc_station(src).mac(), &tb.wifi_station(src)},
+                  std::make_unique<CapacityScheduler>(sim::Rng{11}));
+  tx.set_capacities({plc.mean_mbps, wifi.mean_mbps});
+  HybridDevice rx(sim, {&tb.plc_station(dst).mac(), &tb.wifi_station(dst)},
+                  std::make_unique<RoundRobinScheduler>(2));
+  sim::Fnv1a64 digest;
+  std::uint64_t delivered = 0;
+  rx.set_rx_handler([&](const net::Packet& p, sim::Time t) {
+    digest.mix(static_cast<std::uint64_t>(p.seq));
+    digest.mix(t);
+    ++delivered;
+  });
+  rx.start_receiving();
+  net::UdpSource::Config ucfg;
+  ucfg.src = src;
+  ucfg.dst = dst;
+  ucfg.rate_bps = 400e6;
+  net::UdpSource source(sim, tx, ucfg);
+  const sim::Time start = sim.now();
+  source.run(start, start + sim::seconds(3));
+  sim.run_until(start + sim::seconds(3));
+  source.stop();
+  sim.run_until(sim.now() + sim::milliseconds(200));
+
+  const auto snap = obs::MetricsRegistry::instance().snapshot();
+  EXPECT_EQ(digest.h, 0xaa7f48095f2ced6dULL);
+  EXPECT_EQ(delivered, 27851u);
+  EXPECT_EQ(rx.reorder().timeouts(), 78u);
+  EXPECT_EQ(rx.reorder().stragglers_dropped(), 0u);
+  EXPECT_EQ(rx.reorder().duplicates_dropped(), 0u);
+  EXPECT_EQ(snap.counter("hybrid.reorder.overflows"), 10724u);
+  EXPECT_EQ(snap.counter("hybrid.reorder.delivered"), delivered);
 }
 
 /// Loopback pipe whose wire can be cut: while `dead_`, enqueued packets
