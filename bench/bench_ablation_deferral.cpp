@@ -25,7 +25,7 @@ Result run(int n_flows, bool disable_deferral) {
   cfg.mac.disable_deferral = disable_deferral;
   plc::PlcNetwork network(sim, channel, sim::Rng{17}, cfg);
   for (int i = 0; i < 2 * n_flows; ++i) {
-    const int outlet = grid.add_node("o" + std::to_string(i));
+    const int outlet = grid.add_node(std::to_string(i).insert(0, 1, 'o'));
     grid.add_cable(strip, outlet, 2.0 + i);
     channel.attach_station(i, outlet);
     network.add_station(i, outlet);

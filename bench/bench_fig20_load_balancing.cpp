@@ -1,9 +1,16 @@
 // Fig. 20 + §7.4: bandwidth aggregation with the capacity-proportional load
 // balancer — per-medium and hybrid throughput on one pair, the round-robin
 // baseline, and 600 MB file completion times (WiFi vs hybrid) across pairs.
+// Writes BENCH_fig20.json: the hybrid and round-robin throughput ratios and
+// the median completion-time gain, with `phase.pair` / `phase.completion`
+// profile scopes.
 #include "bench_util.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "src/hybrid/device.hpp"
+#include "src/sim/stats.hpp"
 
 using namespace efd;
 
@@ -109,6 +116,8 @@ int main() {
                 "~2x the slower medium; hybrid cuts 600 MB download times "
                 "drastically vs WiFi alone");
 
+  bench::JsonReporter json("fig20");
+
   sim::Simulator sim;
   testbed::Testbed::Config cfg;
   cfg.with_hpav500 = false;
@@ -127,14 +136,18 @@ int main() {
     }
   }
   std::printf("pair %d->%d\n", src, dst);
-  bench::warm_link(tb, src, dst);
-
-  const auto plc = testbed::measure_plc_throughput(tb, src, dst, sim::seconds(20));
-  const auto wifi = testbed::measure_wifi_throughput(tb, src, dst, sim::seconds(20));
-  const auto hyb = run_hybrid(tb, src, dst, 20.0, false, plc.mean_mbps,
-                              wifi.mean_mbps);
-  const auto rr = run_hybrid(tb, src, dst, 20.0, true, plc.mean_mbps,
-                             wifi.mean_mbps);
+  testbed::ThroughputResult plc;
+  testbed::ThroughputResult wifi;
+  HybridRun hyb;
+  HybridRun rr;
+  {
+    EFD_PROF_SCOPE("phase.pair");
+    bench::warm_link(tb, src, dst);
+    plc = testbed::measure_plc_throughput(tb, src, dst, sim::seconds(20));
+    wifi = testbed::measure_wifi_throughput(tb, src, dst, sim::seconds(20));
+    hyb = run_hybrid(tb, src, dst, 20.0, false, plc.mean_mbps, wifi.mean_mbps);
+    rr = run_hybrid(tb, src, dst, 20.0, true, plc.mean_mbps, wifi.mean_mbps);
+  }
 
   bench::section("throughput on one pair (paper: link 0-4)");
   std::printf("%-22s %10s %12s\n", "mode", "T (Mb/s)", "jitter (ms)");
@@ -154,6 +167,8 @@ int main() {
   bench::section("150 MB completion times, WiFi vs hybrid (paper: 600 MB)");
   std::printf("%-8s %12s %12s %10s\n", "link", "WiFi (s)", "Hybrid (s)", "gain");
   int printed = 0;
+  std::vector<double> gains;
+  EFD_PROF_SCOPE("phase.completion");
   for (const auto& [a, b] : tb.plc_links()) {
     if (printed >= 10) break;
     if (tb.plc_channel().mean_snr_db(a, b, 0, sim.now()) < 12.0) continue;
@@ -194,11 +209,27 @@ int main() {
     source.stop();
     sim.run_until(sim.now() + sim::milliseconds(500));
     const double hybrid_time = received >= target ? (done - start).seconds() : -1.0;
+    const bool both = wifi_time > 0 && hybrid_time > 0;
+    if (both) gains.push_back(wifi_time / hybrid_time);
 
     std::printf("%2d-%-5d %12.0f %12.0f %9.1fx\n", a, b, wifi_time, hybrid_time,
-                wifi_time > 0 && hybrid_time > 0 ? wifi_time / hybrid_time : 0.0);
+                both ? wifi_time / hybrid_time : 0.0);
     ++printed;
   }
   std::printf("(paper: drastic decrease in completion times with both mediums)\n");
+
+  const double sum = plc.mean_mbps + wifi.mean_mbps;
+  const double two_min = 2.0 * std::min(plc.mean_mbps, wifi.mean_mbps);
+  json.add("plc_mbps", plc.mean_mbps, "Mb/s");
+  json.add("wifi_mbps", wifi.mean_mbps, "Mb/s");
+  json.add("hybrid_mbps", hyb.throughput_mbps, "Mb/s");
+  json.add("round_robin_mbps", rr.throughput_mbps, "Mb/s");
+  json.add("hybrid_over_sum", sum > 0.0 ? hyb.throughput_mbps / sum : 0.0, "ratio");
+  json.add("round_robin_over_sum", sum > 0.0 ? rr.throughput_mbps / sum : 0.0,
+           "ratio");
+  json.add("round_robin_over_2x_min",
+           two_min > 0.0 ? rr.throughput_mbps / two_min : 0.0, "ratio");
+  json.add("completion_links", static_cast<double>(gains.size()), "links");
+  json.add("median_completion_gain", sim::Cdf(gains).quantile(0.5), "x");
   return 0;
 }

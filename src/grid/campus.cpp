@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "src/sim/rng.hpp"
 #include "src/sim/sharded.hpp"
@@ -129,7 +131,11 @@ void CampusTopology::build_board_grid(int board, PowerGrid& grid) const {
   const int outlets = outlets_on_board(board);
 
   for (int i = 0; i < outlets; ++i) {
-    grid.add_node("b" + std::to_string(board) + "o" + std::to_string(i));
+    std::string name = "b";
+    name += std::to_string(board);
+    name += 'o';
+    name += std::to_string(i);
+    grid.add_node(std::move(name));
   }
 
   // Outlet 0 is the panel. Runs mostly daisy-chain room to room, with the

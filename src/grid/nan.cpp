@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <utility>
 
 #include "src/sim/rng.hpp"
 
@@ -75,7 +76,11 @@ void NanTopology::build_transformer_grid(int transformer, PowerGrid& grid) const
   const int meters = meters_on_transformer(transformer);
 
   for (int i = 0; i < meters; ++i) {
-    grid.add_node("t" + std::to_string(transformer) + "m" + std::to_string(i));
+    std::string name = "t";
+    name += std::to_string(transformer);
+    name += 'm';
+    name += std::to_string(i);
+    grid.add_node(std::move(name));
   }
 
   // Outlet 0 is the concentrator at the transformer. Drop lines mostly

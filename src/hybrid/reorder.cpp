@@ -19,12 +19,12 @@ void ReorderBuffer::on_packet(const net::Packet& p, sim::Time now, int tag) {
     warmup_ = true;
     blocked_ = true;
     block_start_ = now;
-    buffer_.emplace(p.seq, Buffered{p, tag});
+    buffer(p, tag);
     arm_timeout();
     return;
   }
   if (warmup_) {
-    if (!buffer_.emplace(p.seq, Buffered{p, tag}).second) {
+    if (!buffer(p, tag)) {
       drop_duplicate();
       return;
     }
@@ -32,8 +32,8 @@ void ReorderBuffer::on_packet(const net::Packet& p, sim::Time now, int tag) {
     return;
   }
   if (p.seq < next_seq_) {
-    const auto it = abandoned_.find(p.seq);
-    if (it == abandoned_.end()) {
+    const std::size_t i = abandoned_.lower_bound(p.seq);
+    if (!abandoned_.holds(i, p.seq)) {
       // A copy of a sequence that was already delivered — the losing copy
       // of a duplicated packet, or a failover-salvage re-send.
       drop_duplicate();
@@ -41,7 +41,7 @@ void ReorderBuffer::on_packet(const net::Packet& p, sim::Time now, int tag) {
     }
     // Late straggler: its gap was abandoned before it arrived. Delivering
     // it now would hand the app layer an out-of-order packet — drop it.
-    abandoned_.erase(it);
+    abandoned_.erase(i);
     ++straggler_drops_;
     EFD_COUNTER_INC("hybrid.reorder.straggler_drops");
     return;
@@ -54,7 +54,7 @@ void ReorderBuffer::on_packet(const net::Packet& p, sim::Time now, int tag) {
     blocked_ = false;
     return;
   }
-  if (!buffer_.emplace(p.seq, Buffered{p, tag}).second) {
+  if (!buffer(p, tag)) {
     // Same sequence already waiting in the buffer: a duplicate straddling
     // an open reorder gap. First(-buffered) copy wins.
     drop_duplicate();
@@ -90,6 +90,13 @@ void ReorderBuffer::clear() {
   EFD_GAUGE_SET("hybrid.reorder.buffered", 0);
 }
 
+bool ReorderBuffer::buffer(const net::Packet& p, int tag) {
+  const std::size_t i = buffer_.lower_bound(p.seq);
+  if (buffer_.holds(i, p.seq)) return false;
+  buffer_.insert(i, Buffered{p, tag});
+  return true;
+}
+
 void ReorderBuffer::deliver(const net::Packet& p, int tag) {
   deliver_(p, sim_.now());
   EFD_COUNTER_INC("hybrid.reorder.delivered");
@@ -106,13 +113,25 @@ void ReorderBuffer::abandon_through(std::uint32_t target) {
   // read as stragglers, not duplicates. Bounded: only the max_buffered
   // skipped sequences nearest the new head are kept; older entries are the
   // least likely to ever show up again.
+  //
+  // Keeping the max_buffered largest after each insert leaves the same set
+  // as inserting all and then trimming the smallest. The skipped range lies
+  // above every kept entry unless the sequence space wrapped, so the
+  // insert is almost always an append and the trim a pop from the front.
   std::uint32_t from = next_seq_;
   if (target - from > cfg_.max_buffered) {
     from = target - static_cast<std::uint32_t>(cfg_.max_buffered);
   }
-  for (std::uint32_t s = from; s != target; ++s) abandoned_.insert(s);
-  while (abandoned_.size() > cfg_.max_buffered) {
-    abandoned_.erase(abandoned_.begin());
+  for (std::uint32_t s = from; s != target; ++s) {
+    const std::size_t i = abandoned_.lower_bound(s);
+    if (abandoned_.holds(i, s)) continue;
+    if (abandoned_.size() < cfg_.max_buffered) {
+      abandoned_.insert(i, s);
+    } else if (i > 0) {
+      // Full: `s` displaces the smallest entry, unless it is the smallest.
+      abandoned_.pop_front();
+      abandoned_.insert(i - 1, s);
+    }
   }
 }
 
@@ -121,17 +140,19 @@ void ReorderBuffer::overflow_valve() {
   if (buffer_.size() <= cfg_.max_buffered) return;
   EFD_COUNTER_INC("hybrid.reorder.overflows");
   warmup_ = false;
-  abandon_through(buffer_.begin()->first);
-  next_seq_ = buffer_.begin()->first;
+  abandon_through(buffer_.front().p.seq);
+  next_seq_ = buffer_.front().p.seq;
   drain();
   if (buffer_.empty()) blocked_ = false;
 }
 
 void ReorderBuffer::drain() {
-  auto it = buffer_.begin();
-  while (it != buffer_.end() && it->first == next_seq_) {
-    deliver(it->second.p, it->second.tag);
-    it = buffer_.erase(it);
+  while (!buffer_.empty() && buffer_.front().p.seq == next_seq_) {
+    // Deliver from a copy, then pop: a listener that re-entered and grew
+    // the ring would otherwise be handed a dangling reference.
+    const Buffered head = buffer_.front();
+    deliver(head.p, head.tag);
+    buffer_.pop_front();
     ++next_seq_;
   }
 }
@@ -162,8 +183,8 @@ void ReorderBuffer::on_timeout() {
     EFD_COUNTER_INC("hybrid.reorder.timeouts");
   }
   warmup_ = false;
-  abandon_through(buffer_.begin()->first);
-  next_seq_ = buffer_.begin()->first;
+  abandon_through(buffer_.front().p.seq);
+  next_seq_ = buffer_.front().p.seq;
   drain();
   if (!buffer_.empty()) {
     block_start_ = sim_.now();

@@ -1,15 +1,104 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "src/net/interface.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace efd::hybrid {
+
+namespace detail {
+
+/// A sorted circular array keyed by `SeqOf(entry)` under plain unsigned `<`
+/// (no serial-number arithmetic): the flat, allocation-free stand-in for a
+/// std::map/std::set keyed by sequence. Capacity is a power of two that
+/// grows lazily by doubling and is kept across clear(), so a steady stream
+/// allocates nothing once the ring has reached its working size. Lookup is
+/// a binary search; insert and erase shift toward the nearer end, so an
+/// arrival at either end is O(1).
+template <typename T, typename SeqOf>
+class SeqRing {
+ public:
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask_];
+  }
+  [[nodiscard]] const T& front() const { return (*this)[0]; }
+
+  /// Logical index of the first entry whose sequence is >= `seq`.
+  [[nodiscard]] std::size_t lower_bound(std::uint32_t seq) const {
+    if (size_ == 0 || SeqOf{}((*this)[size_ - 1]) < seq) return size_;
+    std::size_t lo = 0;
+    std::size_t n = size_;
+    while (n > 0) {
+      const std::size_t half = n / 2;
+      if (SeqOf{}((*this)[lo + half]) < seq) {
+        lo += half + 1;
+        n -= half + 1;
+      } else {
+        n = half;
+      }
+    }
+    return lo;
+  }
+  /// True when the entry at logical index `i` (from lower_bound) is `seq`.
+  [[nodiscard]] bool holds(std::size_t i, std::uint32_t seq) const {
+    return i < size_ && SeqOf{}((*this)[i]) == seq;
+  }
+
+  /// Insert `v` at logical index `i`, keeping the order.
+  void insert(std::size_t i, const T& v) {
+    if (size_ == slots_.size()) grow();
+    if (i < size_ - i) {
+      head_ = (head_ - 1) & mask_;
+      for (std::size_t k = 0; k < i; ++k) at(k) = at(k + 1);
+    } else {
+      for (std::size_t k = size_; k > i; --k) at(k) = at(k - 1);
+    }
+    at(i) = v;
+    ++size_;
+  }
+  /// Remove the entry at logical index `i`.
+  void erase(std::size_t i) {
+    if (i < size_ - 1 - i) {
+      for (std::size_t k = i; k > 0; --k) at(k) = at(k - 1);
+      head_ = (head_ + 1) & mask_;
+    } else {
+      for (std::size_t k = i; k + 1 < size_; ++k) at(k) = at(k + 1);
+    }
+    --size_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  T& at(std::size_t i) { return slots_[(head_ + i) & mask_]; }
+  void grow() {
+    std::vector<T> bigger(slots_.empty() ? 8 : 2 * slots_.size());
+    for (std::size_t k = 0; k < size_; ++k) bigger[k] = at(k);
+    slots_.swap(bigger);
+    head_ = 0;
+    mask_ = slots_.size() - 1;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  std::size_t mask_ = 0;
+};
+
+}  // namespace detail
 
 /// Destination-side packet re-sequencer: packets of one flow fan out over
 /// two mediums with different latencies and arrive out of order; this
@@ -89,7 +178,16 @@ class ReorderBuffer {
     net::Packet p;
     int tag;
   };
+  struct SeqOfBuffered {
+    std::uint32_t operator()(const Buffered& b) const { return b.p.seq; }
+  };
+  struct SeqOfSeq {
+    std::uint32_t operator()(std::uint32_t s) const { return s; }
+  };
 
+  /// Buffer a copy unless its sequence is already waiting; false on a
+  /// duplicate (the first-buffered copy wins).
+  bool buffer(const net::Packet& p, int tag);
   void deliver(const net::Packet& p, int tag);
   void drop_duplicate();
   void drain();
@@ -102,11 +200,13 @@ class ReorderBuffer {
   net::Interface::RxHandler deliver_;
   WinListener win_;
   Config cfg_;
-  std::map<std::uint32_t, Buffered> buffer_;
-  /// Sequences skipped by a lock-forward, kept (bounded by max_buffered)
-  /// so a late arrival can be told apart from a duplicate of a delivered
-  /// packet.
-  std::set<std::uint32_t> abandoned_;
+  /// Out-of-order copies, sorted by sequence; never more than
+  /// max_buffered + 1 (the overflow valve runs after every insert).
+  detail::SeqRing<Buffered, SeqOfBuffered> buffer_;
+  /// Sequences skipped by a lock-forward, sorted; the max_buffered largest
+  /// are kept so a late arrival can be told apart from a duplicate of a
+  /// delivered packet.
+  detail::SeqRing<std::uint32_t, SeqOfSeq> abandoned_;
   std::uint32_t next_seq_ = 0;
   bool started_ = false;
   bool warmup_ = false;        ///< buffering before locking a start sequence

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 namespace efd::obs {
 
@@ -20,6 +21,12 @@ bool env_enabled() {
 
 std::atomic<bool> g_enabled{env_enabled()};
 thread_local Shard* t_shard = nullptr;
+
+namespace {
+/// Set when this thread's shard lease ended (thread exit). Trivially
+/// destructible, so it stays readable during the rest of thread teardown.
+thread_local bool t_lease_ended = false;
+}  // namespace
 
 Shard& make_shard() { return MetricsRegistry::instance().shard(); }
 
@@ -36,10 +43,47 @@ MetricsRegistry& MetricsRegistry::instance() {
 
 Shard& MetricsRegistry::shard() {
   if (detail::t_shard != nullptr) return *detail::t_shard;
+  // Hands the shard back at thread exit; the registry's mutex orders the
+  // exiting owner's last writes before the adopting thread's first.
+  struct Lease {
+    Lease() = default;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() {
+      detail::t_lease_ended = true;
+      if (Shard* s = std::exchange(detail::t_shard, nullptr)) {
+        instance().release(s);
+      }
+    }
+  };
+  Shard* s = nullptr;
+  {
+    const std::scoped_lock lock(mutex_);
+    if (!detail::t_lease_ended && !free_shards_.empty()) {
+      s = free_shards_.back();
+      free_shards_.pop_back();
+    } else {
+      // A thread recording again after its lease ended (from a later
+      // thread_local destructor) keeps this shard for good.
+      shards_.push_back(std::make_unique<Shard>());
+      s = shards_.back().get();
+    }
+  }
+  detail::t_shard = s;
+  if (!detail::t_lease_ended) {
+    thread_local Lease lease;
+  }
+  return *s;
+}
+
+void MetricsRegistry::release(Shard* s) {
   const std::scoped_lock lock(mutex_);
-  shards_.push_back(std::make_unique<Shard>());
-  detail::t_shard = shards_.back().get();
-  return *detail::t_shard;
+  free_shards_.push_back(s);
+}
+
+std::size_t MetricsRegistry::shard_count() const {
+  const std::scoped_lock lock(mutex_);
+  return shards_.size();
 }
 
 namespace {
@@ -190,30 +234,45 @@ std::string MetricsSnapshot::to_json(int indent,
                                      std::string_view profile_json) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   std::string out = "{\n";
-  out += pad + "  \"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
+  // Every piece is appended with +=: GCC 12 reports `"literal" +
+  // std::string` as a -Wrestrict overlap (a false positive, GCC PR 105651).
+  const auto line = [&](std::string_view text) {
+    out += pad;
+    out += text;
+  };
+  // Close a section: right after an empty "{", else on a line of its own.
+  const auto close = [&](bool empty, std::string_view brace) {
+    if (!empty) {
+      out += '\n';
+      line("  ");
+    }
+    out += brace;
+  };
+  const auto key = [&](std::size_t i, std::string_view name) {
     out += i == 0 ? "\n" : ",\n";
-    out += pad + "    \"";
-    append_escaped(out, counters[i].first);
-    out += "\": " + std::to_string(counters[i].second);
-  }
-  out += counters.empty() ? "},\n" : "\n" + pad + "  },\n";
-  out += pad + "  \"gauges\": {";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += pad + "    \"";
-    append_escaped(out, gauges[i].first);
+    line("    \"");
+    append_escaped(out, name);
     out += "\": ";
+  };
+  line("  \"counters\": {");
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    key(i, counters[i].first);
+    out += std::to_string(counters[i].second);
+  }
+  close(counters.empty(), "},\n");
+  line("  \"gauges\": {");
+  for (std::size_t i = 0; i < gauges.size(); ++i) {
+    key(i, gauges[i].first);
     append_double(out, gauges[i].second);
   }
-  out += gauges.empty() ? "},\n" : "\n" + pad + "  },\n";
-  out += pad + "  \"histograms\": {";
+  close(gauges.empty(), "},\n");
+  line("  \"histograms\": {");
   for (std::size_t i = 0; i < histograms.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
     const auto& [name, h] = histograms[i];
-    out += pad + "    \"";
-    append_escaped(out, name);
-    out += "\": {\"count\": " + std::to_string(h.count) + ", \"sum\": ";
+    key(i, name);
+    out += "{\"count\": ";
+    out += std::to_string(h.count);
+    out += ", \"sum\": ";
     append_double(out, h.sum);
     // Only non-empty buckets, as {"le_exp": count}: key i means v < 2^i.
     out += ", \"buckets\": {";
@@ -223,19 +282,22 @@ std::string MetricsSnapshot::to_json(int indent,
       if (n == 0) continue;
       if (!first) out += ", ";
       first = false;
-      out += "\"" + std::to_string(b) + "\": " + std::to_string(n);
+      out += '"';
+      out += std::to_string(b);
+      out += "\": ";
+      out += std::to_string(n);
     }
     out += "}}";
   }
   if (profile_json.empty()) {
-    out += histograms.empty() ? "}\n" : "\n" + pad + "  }\n";
+    close(histograms.empty(), "}\n");
   } else {
-    out += histograms.empty() ? "},\n" : "\n" + pad + "  },\n";
-    out += pad + "  \"profile\": ";
+    close(histograms.empty(), "},\n");
+    line("  \"profile\": ");
     out += profile_json;
     out += "\n";
   }
-  out += pad + "}";
+  line("}");
   return out;
 }
 

@@ -3,18 +3,21 @@
 // efd::obs — low-overhead process-wide metrics (DESIGN.md §8).
 //
 // A MetricsRegistry of named counters, gauges, and fixed-bucket histograms.
-// Writes go to lock-free thread-local shards (relaxed atomics on
-// thread-private cache lines), so ParallelRunner workers never contend;
-// snapshot() merges all shards ever created. Call sites resolve a name to a
-// stable id once (function-local static) and then pay one enabled-flag load
-// plus one relaxed fetch_add per update.
+// Writes go to thread-local shards, each with exactly one writer (the thread
+// whose shard it is), so an update is a relaxed load plus a relaxed store on
+// thread-private cache lines — no lock-prefixed RMW, no CAS loop — and
+// ParallelRunner workers never contend. snapshot() merges every shard; a
+// shard outlives its thread (the next new thread adopts it), so completed
+// workers' counts survive into the merge. Call sites resolve a name to a
+// stable id once (function-local static).
 //
 // Three cost tiers:
 //  - EFD_OBS_ENABLED=0 at compile time: the EFD_* macros (obs.hpp) expand to
 //    nothing — zero instructions, zero allocations.
 //  - compiled in, runtime-disabled (set_enabled(false) or EFD_OBS=0 in the
 //    environment): one relaxed atomic bool load + branch per call site.
-//  - enabled: + one relaxed RMW on a thread-local shard.
+//  - enabled: + one relaxed load and one relaxed store per cell on the
+//    calling thread's shard.
 
 #include <array>
 #include <atomic>
@@ -49,9 +52,11 @@ struct CounterId { int index = -1; };
 struct GaugeId { int index = -1; };
 struct HistogramId { int index = -1; };
 
-/// One thread's private slice of every metric. Heap-allocated on first use
-/// per thread, owned (and retained after thread exit) by the registry so
-/// completed workers' counts survive into the merge.
+/// One thread's private slice of every metric. Owned by the registry:
+/// heap-allocated when a thread first records and no exited thread's shard
+/// is free, handed back to the registry at thread exit, and adopted (counts
+/// and all) by the next new thread. Only the owning thread writes the cells;
+/// they stay atomic so snapshot() may read them from any thread.
 struct Shard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
   std::array<std::atomic<double>, kMaxGauges> gauges{};
@@ -111,17 +116,24 @@ class MetricsRegistry {
   HistogramId histogram_id(std::string_view name);
 
   /// Merge every shard into one snapshot. Counters/histogram cells sum;
-  /// gauges sum across shards (each parallel worker simulates a disjoint
-  /// world, so the sum is the fleet-wide value; single-threaded runs read
-  /// back the last value set).
+  /// gauges sum across live and recycled shards (each parallel worker
+  /// simulates a disjoint world, so the sum is the fleet-wide value;
+  /// single-threaded runs read back the last value set).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Zero every cell of every shard (registered names are kept, ids remain
-  /// valid). Tests use this to isolate workloads inside one process.
+  /// valid). Tests use this to isolate workloads inside one process. Only
+  /// call it while no other thread records: a shard's owner updates its
+  /// cells with a plain load+store, which would overwrite a concurrent zero.
   void reset();
 
-  /// The calling thread's shard, created and registered on first use.
+  /// The calling thread's shard: adopted from an exited thread when one is
+  /// free, otherwise created and registered.
   Shard& shard();
+
+  /// Shards allocated so far (live plus free). Bounded by the peak number
+  /// of threads that recorded at once, not by how many ever did.
+  [[nodiscard]] std::size_t shard_count() const;
 
  private:
   MetricsRegistry() = default;
@@ -134,6 +146,10 @@ class MetricsRegistry {
   std::unordered_map<std::string_view, int> gauge_index_;
   std::unordered_map<std::string_view, int> histogram_index_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard*> free_shards_;  ///< shards of exited threads, LIFO
+
+  /// Thread exit: return the owner's shard for the next new thread.
+  void release(Shard* s);
 };
 
 namespace detail {
@@ -156,11 +172,19 @@ void set_enabled(bool on);
 
 // --- Hot-path update primitives (the EFD_* macros land here) --------------
 
+namespace detail {
+/// Owner-only increment: the calling thread is its shard's sole writer, so
+/// a relaxed load+store is exact and needs no lock-prefixed RMW.
+template <typename T>
+inline void owner_add(std::atomic<T>& cell, T v) {
+  cell.store(cell.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
+}
+}  // namespace detail
+
 inline void counter_add(CounterId id, std::uint64_t v = 1) {
   if (!enabled() || id.index < 0) return;
-  this_thread_shard()
-      .counters[static_cast<std::size_t>(id.index)]
-      .fetch_add(v, std::memory_order_relaxed);
+  detail::owner_add(
+      this_thread_shard().counters[static_cast<std::size_t>(id.index)], v);
 }
 
 inline void gauge_set(GaugeId id, double v) {
@@ -183,10 +207,11 @@ inline void histogram_observe(HistogramId id, double v) {
   if (!enabled() || id.index < 0) return;
   Shard& s = this_thread_shard();
   const auto i = static_cast<std::size_t>(id.index);
-  s.histo_count[i].fetch_add(1, std::memory_order_relaxed);
-  s.histo_sum[i].fetch_add(v, std::memory_order_relaxed);
-  s.histo_buckets[i][static_cast<std::size_t>(histogram_bucket(v))].fetch_add(
-      1, std::memory_order_relaxed);
+  detail::owner_add(s.histo_count[i], std::uint64_t{1});
+  detail::owner_add(s.histo_sum[i], v);
+  detail::owner_add(
+      s.histo_buckets[i][static_cast<std::size_t>(histogram_bucket(v))],
+      std::uint64_t{1});
 }
 
 /// Convenience: full-registry snapshot rendered as JSON (the exporter the

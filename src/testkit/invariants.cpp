@@ -44,7 +44,7 @@ void check_attenuation_monotone(const ScenarioWorld& world,
                                 std::vector<Violation>& out) {
   constexpr int kChain = 6;
   grid::PowerGrid chain;
-  for (int i = 0; i < kChain; ++i) chain.add_node("c" + std::to_string(i));
+  for (int i = 0; i < kChain; ++i) chain.add_node(std::to_string(i).insert(0, 1, 'c'));
   for (int i = 1; i < kChain; ++i) chain.add_cable(i - 1, i, 40.0);
   for (const Scenario::ApplianceSpec& a : world.scenario().appliances) {
     chain.add_appliance(grid::make_appliance(a.type, 0, a.seed));

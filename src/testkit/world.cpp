@@ -46,7 +46,7 @@ ScenarioWorld::ScenarioWorld(const Scenario& scenario, sim::Simulator& sim)
     : scenario_(scenario), sim_(sim) {
   EFD_PROF_SCOPE("testkit.world_build");
   for (int i = 0; i < scenario_.n_outlets; ++i) {
-    grid_.add_node("o" + std::to_string(i));
+    grid_.add_node(std::to_string(i).insert(0, 1, 'o'));
   }
   for (const Scenario::Cable& c : scenario_.cables) {
     grid_.add_cable(c.a, c.b, c.length_m, c.extra_loss_db);

@@ -46,6 +46,15 @@ class AllocationWindow {
 
 }  // namespace efd::testsupport
 
+// GCC 12 sees the malloc inside the replaced operator new, the free inside
+// the replaced operator delete, and reports the pair as mismatched
+// (-Wmismatched-new-delete): a false positive for replacement allocation
+// functions, silenced here only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
 void* operator new(std::size_t size) {
   efd::testsupport::g_allocations.fetch_add(1, std::memory_order_relaxed);
   efd::testsupport::g_allocated_bytes.fetch_add(size,
@@ -60,3 +69,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif

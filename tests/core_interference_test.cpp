@@ -100,7 +100,7 @@ TEST(InterferenceDetector, EndToEndOnPowerStrip) {
   // the background transmitter reaches the probe receiver ~13 dB weaker.
   const double panel[4] = {26.0, 0.0, 42.0, 0.0};
   for (int i = 0; i < 4; ++i) {
-    outlets[i] = grid.add_node("o" + std::to_string(i));
+    outlets[i] = grid.add_node(std::to_string(i).insert(0, 1, 'o'));
     grid.add_cable(strip, outlets[i], branch[i], panel[i]);
     channel.attach_station(i, outlets[i]);
     network.add_station(i, outlets[i]);

@@ -3,7 +3,9 @@
 // histogram bucketing, and the runtime disable path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 
 #include "src/grid/appliance.hpp"
 #include "src/grid/power_grid.hpp"
@@ -86,7 +88,8 @@ TEST_F(ObsMetricsTest, MergeIsIndependentOfWorkerCount) {
     if (h != nullptr) {
       m.histo_json = std::to_string(h->count) + "/" + std::to_string(h->sum);
       for (const std::uint64_t b : h->buckets) {
-        m.histo_json += "," + std::to_string(b);
+        m.histo_json += ',';
+        m.histo_json += std::to_string(b);
       }
     }
     return m;
@@ -141,6 +144,57 @@ TEST_F(ObsMetricsTest, SnapshotIsDeterministicForFixedSeeds) {
   EXPECT_NE(first.find("plc.est.tonemap_updates"), std::string::npos);
   EXPECT_NE(first.find("plc.est.pb_errors"), std::string::npos);
   EXPECT_NE(first.find("grid.atten.queries"), std::string::npos);
+}
+
+TEST_F(ObsMetricsTest, ExitedThreadsShardsAreRecycled) {
+  // Each thread records through its own shard; at exit the shard goes back
+  // to the registry and the next thread adopts it, counts included. So a
+  // thousand sequential threads sum exactly and allocate at most one shard.
+  auto& reg = obs::MetricsRegistry::instance();
+  const std::size_t before = reg.shard_count();
+  for (int i = 0; i < 1000; ++i) {
+    std::thread([] {
+      EFD_COUNTER_INC("test.obs.recycled_counter");
+      EFD_HISTO_OBSERVE("test.obs.recycled_histo", 2.0);
+    }).join();
+  }
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("test.obs.recycled_counter"), 1000u);
+  const obs::HistogramData* h = snap.histogram("test.obs.recycled_histo");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1000u);
+  EXPECT_DOUBLE_EQ(h->sum, 2000.0);
+  EXPECT_LE(reg.shard_count(), before + 1);
+}
+
+TEST_F(ObsMetricsTest, SnapshotWhileTheOwnerRecordsIsExactAfterJoin) {
+  // The owner updates with a plain load+store; another thread may still
+  // snapshot at any time (the cells are atomic), and once the owner has
+  // finished the merge is exact.
+  constexpr int kIncrements = 200000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int k = 0; k < kIncrements; ++k) {
+      EFD_COUNTER_INC("test.obs.concurrent_counter");
+      EFD_HISTO_OBSERVE("test.obs.concurrent_histo", 1.0);
+    }
+    done.store(true);
+  });
+  std::uint64_t last = 0;
+  while (!done.load()) {
+    const std::uint64_t now =
+        obs::MetricsRegistry::instance().snapshot().counter("test.obs.concurrent_counter");
+    EXPECT_GE(now, last);  // one writer: the cell never goes back
+    last = now;
+  }
+  writer.join();
+  const auto snap = obs::MetricsRegistry::instance().snapshot();
+  EXPECT_EQ(snap.counter("test.obs.concurrent_counter"),
+            static_cast<std::uint64_t>(kIncrements));
+  const obs::HistogramData* h = snap.histogram("test.obs.concurrent_histo");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, static_cast<std::uint64_t>(kIncrements));
+  EXPECT_DOUBLE_EQ(h->sum, static_cast<double>(kIncrements));
 }
 
 TEST_F(ObsMetricsTest, GaugeReadsBackLastValueSingleThreaded) {

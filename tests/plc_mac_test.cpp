@@ -23,7 +23,7 @@ struct MacFixture : ::testing::Test {
     channel = std::make_unique<PlcChannel>(grid, PhyParams::hpav());
     network = std::make_unique<PlcNetwork>(sim, *channel, sim::Rng{9}, cfg);
     for (int i = 0; i < n_stations; ++i) {
-      const int outlet = grid.add_node("s" + std::to_string(i));
+      const int outlet = grid.add_node(std::to_string(i).insert(0, 1, 's'));
       grid.add_cable(strip, outlet, 2.0 + i);
       channel->attach_station(i, outlet);
       network->add_station(i, outlet);
@@ -203,7 +203,7 @@ TEST_F(MacFixture, DisableDeferralChangesBackoffDynamics) {
     PlcNetwork net(local_sim, ch, sim::Rng{17}, cfg);
     std::vector<std::unique_ptr<net::UdpSource>> sources;
     for (int i = 0; i < 8; ++i) {
-      const int outlet = local_grid.add_node("o" + std::to_string(i));
+      const int outlet = local_grid.add_node(std::to_string(i).insert(0, 1, 'o'));
       local_grid.add_cable(strip, outlet, 2.0 + i);
       ch.attach_station(i, outlet);
       net.add_station(i, outlet);
@@ -242,7 +242,7 @@ TEST_F(MacFixture, BeaconRegionCostsAirtime) {
     PlcChannel ch(local_grid, PhyParams::hpav());
     PlcNetwork net(local_sim, ch, sim::Rng{21}, PlcNetwork::Config{});
     for (int i = 0; i < 2; ++i) {
-      const int outlet = local_grid.add_node("o" + std::to_string(i));
+      const int outlet = local_grid.add_node(std::to_string(i).insert(0, 1, 'o'));
       local_grid.add_cable(strip, outlet, 2.0 + i);
       ch.attach_station(i, outlet);
       net.add_station(i, outlet);

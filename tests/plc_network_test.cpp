@@ -17,7 +17,7 @@ struct NetworkFixture : ::testing::Test {
     network = std::make_unique<PlcNetwork>(sim, *channel, sim::Rng{5},
                                            PlcNetwork::Config{});
     for (int i = 0; i < 3; ++i) {
-      const int outlet = grid.add_node("o" + std::to_string(i));
+      const int outlet = grid.add_node(std::to_string(i).insert(0, 1, 'o'));
       grid.add_cable(strip, outlet, 3.0 + i);
       channel->attach_station(i, outlet);
       network->add_station(i, outlet);

@@ -21,7 +21,7 @@ struct PriorityFixture : ::testing::Test {
     network = std::make_unique<PlcNetwork>(sim, *channel, sim::Rng{9},
                                            PlcNetwork::Config{});
     for (int i = 0; i < n_stations; ++i) {
-      const int outlet = grid.add_node("s" + std::to_string(i));
+      const int outlet = grid.add_node(std::to_string(i).insert(0, 1, 's'));
       grid.add_cable(strip, outlet, 2.0 + i);
       channel->attach_station(i, outlet);
       network->add_station(i, outlet);
