@@ -284,7 +284,8 @@ Reached run_differential(const Schedule& s) {
   net::Packet p;
   for (int step = 0; step < s.steps; ++step) {
     const int action = roll(0, 99);
-    int tag = roll(-1, 1);
+    const int tag = roll(-1, 1);  // -1: the untagged overload
+    bool feed = true;
     if (action < 40) {  // in-order
       p.seq = next++;
     } else if (action < 55) {  // gap: hold back a run, maybe for good
@@ -308,15 +309,15 @@ Reached run_differential(const Schedule& s) {
       const sim::Time dt = sim::microseconds(roll(0, 6000));
       real.sim.run_until(real.sim.now() + dt);
       ref.sim.run_until(ref.sim.now() + dt);
-      tag = 2;  // no feed this step
+      feed = false;
     } else {  // adapter reset mid-flow
       real.rb.clear();
       ref.rb.clear();
-      tag = 2;
+      feed = false;
     }
-    if (tag != 2) {
+    if (feed) {
       if (tag < 0) {
-        real.rb.on_packet(p, real.sim.now());  // untagged overload
+        real.rb.on_packet(p, real.sim.now());
       } else {
         real.feed(p, tag);
       }
