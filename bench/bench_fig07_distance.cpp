@@ -3,6 +3,9 @@
 //
 // Sweep modes (EFD_BENCH_THREADS): unset -> legacy sweep on one shared
 // testbed; n >= 1 -> per-link testbeds fanned out via ParallelRunner.
+// EFD_BENCH_SCALE shortens each per-link measurement (min. 1 s).
+#include <algorithm>
+
 #include "src/testbed/parallel_runner.hpp"
 
 #include "bench_util.hpp"
@@ -18,15 +21,21 @@ struct Row {
   double pberr_av = 0.0;
 };
 
+/// One generation's saturated run on a link: 8 s, shortened by
+/// EFD_BENCH_SCALE but never below 1 s (ten 100 ms throughput windows).
+sim::Time measure_duration() {
+  return sim::seconds(std::max(1.0, 8.0 * bench::duration_scale()));
+}
+
 Row measure_link(testbed::Testbed& tb, int a, int b) {
   Row r{a, b, tb.plc_channel().cable_distance(a, b), 0, 0, 0};
   bench::warm_link(tb, a, b, testbed::PlcGeneration::kHpav);
-  r.t_av = testbed::measure_plc_throughput(tb, a, b, sim::seconds(8),
+  r.t_av = testbed::measure_plc_throughput(tb, a, b, measure_duration(),
                                            testbed::PlcGeneration::kHpav)
                .mean_mbps;
   r.pberr_av = tb.plc_network_of(b).mm_pberr(a, b);
   bench::warm_link(tb, a, b, testbed::PlcGeneration::kHpav500);
-  r.t_av500 = testbed::measure_plc_throughput(tb, a, b, sim::seconds(8),
+  r.t_av500 = testbed::measure_plc_throughput(tb, a, b, measure_duration(),
                                               testbed::PlcGeneration::kHpav500)
                   .mean_mbps;
   return r;

@@ -632,13 +632,6 @@ const bool kKernelBenchesRegistered = [] {
         (*lin)[i] = std::pow(10.0, (*db)[i] / 10.0);
       }
       benchmark::RegisterBenchmark(
-          name("db_to_linear").c_str(), [&k, db, out, n](benchmark::State& state) {
-            for (auto _ : state) {
-              k.db_to_linear_n(db->data(), out->data(), n);
-              benchmark::DoNotOptimize(out->data());
-            }
-          });
-      benchmark::RegisterBenchmark(
           name("linear_to_db").c_str(), [&k, lin, out, n](benchmark::State& state) {
             for (auto _ : state) {
               k.linear_to_db_n(lin->data(), out->data(), n);
@@ -668,12 +661,6 @@ const bool kKernelBenchesRegistered = [] {
             for (auto _ : state) {
               k.assemble_snr_n(-50.0, db->data(), lin->data(), out->data(), n);
               benchmark::DoNotOptimize(out->data());
-            }
-          });
-      benchmark::RegisterBenchmark(
-          name("robo_sum").c_str(), [&k, db, n](benchmark::State& state) {
-            for (auto _ : state) {
-              benchmark::DoNotOptimize(k.sum_db_to_linear_n(db->data(), n));
             }
           });
       auto rows = std::make_shared<std::vector<std::int32_t>>(n);

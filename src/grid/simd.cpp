@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "src/grid/db_units.hpp"
+#include "src/grid/simd_elementwise.hpp"
 #include "src/obs/obs.hpp"
 #include "src/sim/isa.hpp"
 
@@ -19,47 +20,12 @@ namespace {
 // (power_grid.cpp / tone_map.cpp / channel.cpp as of PR 1): same op order,
 // same libm calls, so EFD_SIMD=scalar figures are byte-identical to the
 // pre-dispatch binaries and the scalar entry doubles as the bit-exact
-// reference the vector entries are diffed against.
-
-void s_db_to_linear_n(const double* db, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = db_to_linear(db[i]);
-}
+// reference the vector entries are diffed against. The five element-wise
+// kernels are the shared loops of simd_elementwise.hpp, compiled here with
+// the baseline flags.
 
 void s_linear_to_db_n(const double* lin, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = linear_to_db(lin[i]);
-}
-
-void s_affine_n(double add, double slope, const double* x, double* out,
-                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = add + slope * x[i];
-}
-
-void s_accumulate_notch_n(double broadband, double depth, const double* s,
-                          double* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = s[i];
-    acc[i] += broadband + depth * v * v;
-  }
-}
-
-void s_accumulate_scaled_n(double scale, const double* x, double* acc,
-                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += scale * x[i];
-}
-
-void s_assemble_snr_n(double c, const double* a, const double* b, double* out,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = c - a[i] - b[i];
-}
-
-void s_shift_n(const double* in, double offset, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = in[i] - offset;
-}
-
-double s_sum_db_to_linear_n(const double* db, std::size_t n) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += db_to_linear(db[i]);
-  return sum;
 }
 
 void s_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_off,
@@ -155,14 +121,12 @@ namespace {
 
 constexpr CarrierKernels kScalar = {
     "scalar",
-    &s_db_to_linear_n,
     &s_linear_to_db_n,
-    &s_affine_n,
-    &s_accumulate_notch_n,
-    &s_accumulate_scaled_n,
-    &s_assemble_snr_n,
-    &s_shift_n,
-    &s_sum_db_to_linear_n,
+    &elementwise_affine_n,
+    &elementwise_accumulate_notch_n,
+    &elementwise_accumulate_scaled_n,
+    &elementwise_assemble_snr_n,
+    &elementwise_shift_n,
     &s_ber_weighted_sum_n,
     &detail::bit_load_n_scalar,
     &detail::bit_load_reach_n_scalar,

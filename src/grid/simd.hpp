@@ -32,16 +32,16 @@ struct BitLoadTable {
 
 /// One interchangeable set of *batch* carrier-domain kernels — the
 /// structure-of-arrays counterpart of `efd::testkit::CarrierMathImpl`. The
-/// five hot per-carrier loops of the channel stack (attenuation assembly,
-/// noise accumulation, dB<->linear conversion, SNR assembly, BER-LUT
-/// reduction) route through the table returned by `active_kernels()`, so a
-/// SIMD implementation is one more entry selected at runtime: no `#ifdef`
-/// forks at call sites, every variant lives in every binary and can be
-/// differentially checked against the others (testkit DiffRunner).
+/// hot per-carrier loops of the channel stack (attenuation assembly, noise
+/// accumulation and its linear->dB conversion, SNR assembly, bit loading,
+/// BER-LUT reduction) route through the table returned by
+/// `active_kernels()`, so a SIMD implementation is one more entry selected
+/// at runtime: no `#ifdef` forks at call sites, every variant lives in
+/// every binary and can be differentially checked against the others
+/// (testkit DiffRunner).
 ///
 /// Kernel contracts (all sizes in elements, buffers may overlap only where
 /// a kernel reads and writes the same array):
-///  - db_to_linear_n:   out[i] = 2^(db[i] * log2(10)/10)      (= 10^(db/10))
 ///  - linear_to_db_n:   out[i] = log2(lin[i]) * 10*log10(2)   (lin[i] > 0,
 ///                      normal; the carrier power domain never underflows)
 ///  - affine_n:         out[i] = add + slope * x[i]
@@ -49,7 +49,6 @@ struct BitLoadTable {
 ///  - accumulate_scaled_n: acc[i] += scale * x[i]
 ///  - assemble_snr_n:   out[i] = c - a[i] - b[i]
 ///  - shift_n:          out[i] = in[i] - offset   (in == out allowed)
-///  - sum_db_to_linear_n: returns sum_i 10^(db[i]/10)  (ROBO combining)
 ///  - ber_weighted_sum_n: per element, row = row_off[i] (premultiplied row
 ///    index * lut.size), clamped-lerp lookup of lut at snr[i] + gain_db,
 ///    then *weighted_ber += value * bits[i], *total_bits += bits[i].
@@ -70,15 +69,17 @@ struct BitLoadTable {
 ///
 /// Two contract classes. The float kernels above: the scalar entry
 /// reproduces the original fast-path loops operation for operation
-/// (bit-identical figures under EFD_SIMD=scalar); vector entries may
-/// reassociate sums and use FMA, and are gated by the DiffRunner tolerance
-/// contract instead (DESIGN.md §11/§12). bit_load_n and bit_load_reach_n are
-/// exact: every entry must return and write exactly what the scalar entry
-/// does, for every input including NaN, infinities and signed zeros, so
-/// switching entries never changes a tone map.
+/// (bit-identical figures under EFD_SIMD=scalar). The five element-wise
+/// ones are one plain-loop source (simd_elementwise.hpp) compiled into every
+/// entry, so every entry matches the scalar one bit for bit; the vector
+/// linear_to_db_n and ber_weighted_sum_n may reassociate sums and use FMA,
+/// and are gated by the DiffRunner tolerance contract instead (DESIGN.md
+/// §11/§12). bit_load_n and bit_load_reach_n are exact: every entry must
+/// return and write exactly what the scalar entry does, for every input
+/// including NaN, infinities and signed zeros, so switching entries never
+/// changes a tone map.
 struct CarrierKernels {
   const char* name;
-  void (*db_to_linear_n)(const double* db, double* out, std::size_t n);
   void (*linear_to_db_n)(const double* lin, double* out, std::size_t n);
   void (*affine_n)(double add, double slope, const double* x, double* out,
                    std::size_t n);
@@ -89,7 +90,6 @@ struct CarrierKernels {
   void (*assemble_snr_n)(double c, const double* a, const double* b, double* out,
                          std::size_t n);
   void (*shift_n)(const double* in, double offset, double* out, std::size_t n);
-  double (*sum_db_to_linear_n)(const double* db, std::size_t n);
   void (*ber_weighted_sum_n)(const InterpTableView& lut,
                              const std::int32_t* row_off, const double* bits,
                              const double* snr_db, double gain_db, std::size_t n,

@@ -1,18 +1,18 @@
 // AVX2+FMA entry of the carrier-kernel dispatch table (simd.hpp). This is
 // the only TU compiled with -mavx2 -mfma (plus -ffp-contract=off so the
-// scalar tail expressions cannot silently fuse into FMAs and drift from the
+// compiler cannot fuse plain-loop multiply-adds into FMAs and drift from the
 // scalar entry); selection guards it behind the cpuid check of sim::isa.
 //
 // Precision contract (DESIGN.md §12): the element-wise kernels (affine,
-// notch, scaled accumulate, SNR assembly, shift) use explicit mul/add/sub
-// intrinsics in the scalar entry's operation order, so they are bit-identical
-// to it lane for lane. The transcendental kernels replace libm exp2/log2 with
-// 4-lane polynomial evaluations whose relative error is below 1e-14 — two
-// orders of magnitude inside the DiffRunner's 1e-12 dB contract — and the
-// reductions (ROBO sum, BER-weighted sum) keep vector-lane partial
-// accumulators, which reassociates the sum within the PBerr tolerance. The
-// bit loader is integer work on exact compares and is equal to the scalar
-// entry in every output.
+// notch, scaled accumulate, SNR assembly, shift) are the plain loops of
+// simd_elementwise.hpp, which the compiler vectorises to AVX2 width here in
+// the scalar entry's operation order, so they are bit-identical to it lane
+// for lane. linear_to_db_n replaces libm log2 with a 4-lane polynomial whose
+// relative error is below 1e-14 — two orders of magnitude inside the
+// DiffRunner's 1e-12 dB contract — and the BER-weighted sum keeps
+// vector-lane partial accumulators, which reassociates the sum within the
+// PBerr tolerance. The bit loader is integer work on exact compares and is
+// equal to the scalar entry in every output.
 #include <immintrin.h>
 
 #include <cstddef>
@@ -22,53 +22,14 @@
 
 #include "src/grid/db_units.hpp"
 #include "src/grid/simd.hpp"
+#include "src/grid/simd_elementwise.hpp"
 
 namespace efd::grid::simd {
 namespace {
 
-// --- 4-lane exp2 / log2 ----------------------------------------------------
+// --- 4-lane log2 ------------------------------------------------------------
 
-constexpr double kLn2 = 0.6931471805599453094172321;
 constexpr double kTwoOverLn2 = 2.8853900817779268147198494;  // 2 / ln(2)
-
-/// 2^x per lane. Range-reduce x = k + r with k integral and |r| <= 0.5, then
-/// e^(r ln2) by a degree-11 Taylor polynomial (truncation < 7e-15 relative on
-/// the reduced range, two orders inside the 1e-12 dB contract) and scale by
-/// 2^k through the exponent bits. Inputs are clamped to +-1000 so
-/// out-of-domain values saturate near 2^+-1000 instead of producing garbage
-/// bit patterns; the carrier dB domain is hundreds at most.
-inline __m256d v_exp2(__m256d x) {
-  x = _mm256_max_pd(x, _mm256_set1_pd(-1000.0));
-  x = _mm256_min_pd(x, _mm256_set1_pd(1000.0));
-  const __m256d k =
-      _mm256_round_pd(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m256d r = _mm256_sub_pd(x, k);  // exact: |r| <= 0.5, aligned ulps
-  const __m256d t = _mm256_mul_pd(r, _mm256_set1_pd(kLn2));
-  // exp(t), coefficients 1/k!, split into even/odd Horner chains in t^2 so
-  // the dependency chain is half as deep as a straight Horner ladder (the
-  // FMA ladder's latency, not its throughput, limits these kernels).
-  const __m256d t2 = _mm256_mul_pd(t, t);
-  __m256d pe = _mm256_set1_pd(1.0 / 3628800.0);                  // 1/10!
-  pe = _mm256_fmadd_pd(pe, t2, _mm256_set1_pd(1.0 / 40320.0));   // 1/8!
-  pe = _mm256_fmadd_pd(pe, t2, _mm256_set1_pd(1.0 / 720.0));     // 1/6!
-  pe = _mm256_fmadd_pd(pe, t2, _mm256_set1_pd(1.0 / 24.0));      // 1/4!
-  pe = _mm256_fmadd_pd(pe, t2, _mm256_set1_pd(0.5));             // 1/2!
-  pe = _mm256_fmadd_pd(pe, t2, _mm256_set1_pd(1.0));
-  __m256d po = _mm256_set1_pd(1.0 / 39916800.0);                 // 1/11!
-  po = _mm256_fmadd_pd(po, t2, _mm256_set1_pd(1.0 / 362880.0));  // 1/9!
-  po = _mm256_fmadd_pd(po, t2, _mm256_set1_pd(1.0 / 5040.0));    // 1/7!
-  po = _mm256_fmadd_pd(po, t2, _mm256_set1_pd(1.0 / 120.0));     // 1/5!
-  po = _mm256_fmadd_pd(po, t2, _mm256_set1_pd(1.0 / 6.0));       // 1/3!
-  po = _mm256_fmadd_pd(po, t2, _mm256_set1_pd(1.0));
-  const __m256d p = _mm256_fmadd_pd(t, po, pe);
-  // 2^k: k is integral in [-1000, 1000] after the clamp, so it survives the
-  // int32 round trip and (k + 1023) << 52 is a normal double's bit pattern.
-  const __m128i ki = _mm256_cvtpd_epi32(k);
-  const __m256i k64 = _mm256_cvtepi32_epi64(ki);
-  const __m256i bits =
-      _mm256_slli_epi64(_mm256_add_epi64(k64, _mm256_set1_epi64x(1023)), 52);
-  return _mm256_mul_pd(p, _mm256_castsi256_pd(bits));
-}
 
 /// log2(x) per lane for positive, finite, normal x (the carrier power domain:
 /// accumulated linear powers are >= 1). Split x = m * 2^e with m in [1, 2),
@@ -97,7 +58,9 @@ inline __m256d v_log2(__m256d x) {
   const __m256d s =
       _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
   const __m256d s2 = _mm256_mul_pd(s, s);
-  // Same even/odd chain split as v_exp2, here in s^4.
+  // Even/odd Horner chains in s^4, so the dependency chain is half as deep
+  // as a straight ladder (the FMA ladder's latency, not its throughput,
+  // limits this kernel).
   const __m256d s4 = _mm256_mul_pd(s2, s2);
   __m256d pe = _mm256_set1_pd(1.0 / 17.0);
   pe = _mm256_fmadd_pd(pe, s4, _mm256_set1_pd(1.0 / 13.0));
@@ -124,34 +87,9 @@ inline double hsum(__m256d v) {
 }
 
 // --- kernels ---------------------------------------------------------------
-// Tails: the transcendental/gather kernels route the final partial block
-// through the same 4-lane code on padded copies, so an element's value never
-// depends on its position in the array; the element-wise kernels finish with
-// a scalar loop (identical operations, identical result either way).
-
-void a_db_to_linear_n(const double* db, double* out, std::size_t n) {
-  const __m256d c = _mm256_set1_pd(kDbToLog2);
-  std::size_t i = 0;
-  // Two independent polynomial chains per iteration: v_exp2 is a serial
-  // FMA ladder, so a single chain leaves the FMA ports half idle.
-  for (; i + 8 <= n; i += 8) {
-    const __m256d r0 = v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i), c));
-    const __m256d r1 = v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i + 4), c));
-    _mm256_storeu_pd(out + i, r0);
-    _mm256_storeu_pd(out + i + 4, r1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        out + i, v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i), c)));
-  }
-  if (i < n) {
-    alignas(32) double in[4] = {0.0, 0.0, 0.0, 0.0};
-    alignas(32) double tmp[4];
-    std::memcpy(in, db + i, (n - i) * sizeof(double));
-    _mm256_store_pd(tmp, v_exp2(_mm256_mul_pd(_mm256_load_pd(in), c)));
-    std::memcpy(out + i, tmp, (n - i) * sizeof(double));
-  }
-}
+// Tails: the log2 and gather kernels route the final partial block through
+// the same 4-lane code on padded copies, so an element's value never depends
+// on its position in the array.
 
 void a_linear_to_db_n(const double* lin, double* out, std::size_t n) {
   const __m256d c = _mm256_set1_pd(kLog2ToDb);
@@ -173,102 +111,6 @@ void a_linear_to_db_n(const double* lin, double* out, std::size_t n) {
     _mm256_store_pd(tmp, _mm256_mul_pd(v_log2(_mm256_load_pd(in)), c));
     std::memcpy(out + i, tmp, (n - i) * sizeof(double));
   }
-}
-
-void a_affine_n(double add, double slope, const double* x, double* out,
-                std::size_t n) {
-  const __m256d va = _mm256_set1_pd(add);
-  const __m256d vs = _mm256_set1_pd(slope);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        out + i,
-        _mm256_add_pd(va, _mm256_mul_pd(vs, _mm256_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) out[i] = add + slope * x[i];
-}
-
-void a_accumulate_notch_n(double broadband, double depth, const double* s,
-                          double* acc, std::size_t n) {
-  const __m256d vb = _mm256_set1_pd(broadband);
-  const __m256d vd = _mm256_set1_pd(depth);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(s + i);
-    const __m256d term =
-        _mm256_add_pd(vb, _mm256_mul_pd(_mm256_mul_pd(vd, v), v));
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), term));
-  }
-  for (; i < n; ++i) {
-    const double v = s[i];
-    acc[i] += broadband + depth * v * v;
-  }
-}
-
-void a_accumulate_scaled_n(double scale, const double* x, double* acc,
-                           std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d term = _mm256_mul_pd(vs, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), term));
-  }
-  for (; i < n; ++i) acc[i] += scale * x[i];
-}
-
-void a_assemble_snr_n(double c, const double* a, const double* b, double* out,
-                      std::size_t n) {
-  const __m256d vc = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        out + i,
-        _mm256_sub_pd(_mm256_sub_pd(vc, _mm256_loadu_pd(a + i)),
-                      _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = c - a[i] - b[i];
-}
-
-void a_shift_n(const double* in, double offset, double* out, std::size_t n) {
-  const __m256d vo = _mm256_set1_pd(offset);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_sub_pd(_mm256_loadu_pd(in + i), vo));
-  }
-  for (; i < n; ++i) out[i] = in[i] - offset;
-}
-
-double a_sum_db_to_linear_n(const double* db, std::size_t n) {
-  const __m256d c = _mm256_set1_pd(kDbToLog2);
-  __m256d acc = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc = _mm256_add_pd(acc,
-                        v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i), c)));
-    acc1 = _mm256_add_pd(
-        acc1, v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i + 4), c)));
-    acc2 = _mm256_add_pd(
-        acc2, v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i + 8), c)));
-    acc3 = _mm256_add_pd(
-        acc3, v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i + 12), c)));
-  }
-  acc = _mm256_add_pd(_mm256_add_pd(acc, acc1), _mm256_add_pd(acc2, acc3));
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc,
-                        v_exp2(_mm256_mul_pd(_mm256_loadu_pd(db + i), c)));
-  }
-  double tail = 0.0;
-  if (i < n) {
-    alignas(32) double in[4] = {0.0, 0.0, 0.0, 0.0};
-    alignas(32) double tmp[4];
-    std::memcpy(in, db + i, (n - i) * sizeof(double));
-    _mm256_store_pd(tmp, v_exp2(_mm256_mul_pd(_mm256_load_pd(in), c)));
-    for (std::size_t j = 0; j < n - i; ++j) tail += tmp[j];
-  }
-  return hsum(acc) + tail;
 }
 
 void a_ber_weighted_sum_n(const InterpTableView& lut, const std::int32_t* row_off,
@@ -434,14 +276,12 @@ void a_bit_load_reach_n(const BitLoadTable& table, const double* margins_db,
 
 constexpr CarrierKernels kAvx2 = {
     "avx2",
-    &a_db_to_linear_n,
     &a_linear_to_db_n,
-    &a_affine_n,
-    &a_accumulate_notch_n,
-    &a_accumulate_scaled_n,
-    &a_assemble_snr_n,
-    &a_shift_n,
-    &a_sum_db_to_linear_n,
+    &elementwise_affine_n,
+    &elementwise_accumulate_notch_n,
+    &elementwise_accumulate_scaled_n,
+    &elementwise_assemble_snr_n,
+    &elementwise_shift_n,
     &a_ber_weighted_sum_n,
     &a_bit_load_n,
     &a_bit_load_reach_n,

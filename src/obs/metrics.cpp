@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <utility>
 
 namespace efd::obs {
 
@@ -22,12 +20,6 @@ bool env_enabled() {
 std::atomic<bool> g_enabled{env_enabled()};
 thread_local Shard* t_shard = nullptr;
 
-namespace {
-/// Set when this thread's shard lease ended (thread exit). Trivially
-/// destructible, so it stays readable during the rest of thread teardown.
-thread_local bool t_lease_ended = false;
-}  // namespace
-
 Shard& make_shard() { return MetricsRegistry::instance().shard(); }
 
 }  // namespace detail
@@ -41,49 +33,11 @@ MetricsRegistry& MetricsRegistry::instance() {
   return *registry;
 }
 
-Shard& MetricsRegistry::shard() {
-  if (detail::t_shard != nullptr) return *detail::t_shard;
-  // Hands the shard back at thread exit; the registry's mutex orders the
-  // exiting owner's last writes before the adopting thread's first.
-  struct Lease {
-    Lease() = default;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() {
-      detail::t_lease_ended = true;
-      if (Shard* s = std::exchange(detail::t_shard, nullptr)) {
-        instance().release(s);
-      }
-    }
-  };
-  Shard* s = nullptr;
-  {
-    const std::scoped_lock lock(mutex_);
-    if (!detail::t_lease_ended && !free_shards_.empty()) {
-      s = free_shards_.back();
-      free_shards_.pop_back();
-    } else {
-      // A thread recording again after its lease ended (from a later
-      // thread_local destructor) keeps this shard for good.
-      shards_.push_back(std::make_unique<Shard>());
-      s = shards_.back().get();
-    }
-  }
-  detail::t_shard = s;
-  if (!detail::t_lease_ended) {
-    thread_local Lease lease;
-  }
-  return *s;
-}
-
-void MetricsRegistry::release(Shard* s) {
-  const std::scoped_lock lock(mutex_);
-  free_shards_.push_back(s);
-}
+Shard& MetricsRegistry::shard() { return pool_.lease(detail::t_shard); }
 
 std::size_t MetricsRegistry::shard_count() const {
   const std::scoped_lock lock(mutex_);
-  return shards_.size();
+  return pool_.all().size();
 }
 
 namespace {
@@ -143,7 +97,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.counters.reserve(counter_names_.size());
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {
     std::uint64_t total = 0;
-    for (const auto& s : shards_) {
+    for (const auto& s : pool_.all()) {
       total += s->counters[i].load(std::memory_order_relaxed);
     }
     snap.counters.emplace_back(counter_names_[i], total);
@@ -151,7 +105,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.gauges.reserve(gauge_names_.size());
   for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
     double total = 0.0;
-    for (const auto& s : shards_) {
+    for (const auto& s : pool_.all()) {
       total += s->gauges[i].load(std::memory_order_relaxed);
     }
     snap.gauges.emplace_back(gauge_names_[i], total);
@@ -159,7 +113,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.histograms.reserve(histogram_names_.size());
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     HistogramData h;
-    for (const auto& s : shards_) {
+    for (const auto& s : pool_.all()) {
       h.count += s->histo_count[i].load(std::memory_order_relaxed);
       h.sum += s->histo_sum[i].load(std::memory_order_relaxed);
       for (int b = 0; b < kHistogramBuckets; ++b) {
@@ -181,7 +135,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   const std::scoped_lock lock(mutex_);
-  for (const auto& s : shards_) {
+  for (const auto& s : pool_.all()) {
     for (auto& c : s->counters) c.store(0, std::memory_order_relaxed);
     for (auto& g : s->gauges) g.store(0.0, std::memory_order_relaxed);
     for (auto& c : s->histo_count) c.store(0, std::memory_order_relaxed);

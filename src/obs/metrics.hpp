@@ -23,13 +23,14 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "src/obs/shard_pool.hpp"
 
 #ifndef EFD_OBS_ENABLED
 #define EFD_OBS_ENABLED 1
@@ -145,11 +146,7 @@ class MetricsRegistry {
   std::unordered_map<std::string_view, int> counter_index_;
   std::unordered_map<std::string_view, int> gauge_index_;
   std::unordered_map<std::string_view, int> histogram_index_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Shard*> free_shards_;  ///< shards of exited threads, LIFO
-
-  /// Thread exit: return the owner's shard for the next new thread.
-  void release(Shard* s);
+  detail::ShardPool<Shard> pool_{mutex_};
 };
 
 namespace detail {

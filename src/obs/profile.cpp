@@ -40,12 +40,11 @@ ProfileRegistry& ProfileRegistry::instance() {
   return *registry;
 }
 
-ProfShard& ProfileRegistry::shard() {
-  if (prof_detail::t_shard != nullptr) return *prof_detail::t_shard;
+ProfShard& ProfileRegistry::shard() { return pool_.lease(prof_detail::t_shard); }
+
+std::size_t ProfileRegistry::shard_count() const {
   const std::scoped_lock lock(mutex_);
-  shards_.push_back(std::make_unique<ProfShard>());
-  prof_detail::t_shard = shards_.back().get();
-  return *prof_detail::t_shard;
+  return pool_.all().size();
 }
 
 namespace {
@@ -193,11 +192,12 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
   const std::int64_t now = prof_now_ns();
   ProfileSnapshot snap;
   snap.enabled = prof_enabled();
-  snap.threads = static_cast<int>(shards_.size());
+  const auto& shards = pool_.all();
+  snap.threads = static_cast<int>(shards.size());
   snap.root.name = "(root)";
   std::int64_t max_thread_top_ns = 0;
-  for (std::size_t t = 0; t < shards_.size(); ++t) {
-    const ProfShard& s = *shards_[t];
+  for (std::size_t t = 0; t < shards.size(); ++t) {
+    const ProfShard& s = *shards[t];
     snap.dropped += s.dropped.load(std::memory_order_relaxed);
     ShardFold f{&s, static_cast<int>(t),
                 std::vector<std::int64_t>(
@@ -239,7 +239,7 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
 void ProfileRegistry::reset() {
   const std::scoped_lock lock(mutex_);
   const std::int64_t now = prof_now_ns();
-  for (const auto& s : shards_) {
+  for (const auto& s : pool_.all()) {
     for (std::int32_t i = 0; i < s->n_cells; ++i) {
       auto& c = s->cells[static_cast<std::size_t>(i)];
       c.total_ns.store(0, std::memory_order_relaxed);

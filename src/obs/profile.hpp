@@ -38,6 +38,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/shard_pool.hpp"
+
 #ifndef EFD_OBS_ENABLED
 #define EFD_OBS_ENABLED 1
 #endif
@@ -78,8 +80,9 @@ struct ProfShard {
   std::atomic<std::uint64_t> dropped{0};
 };
 
-/// Per-shard slice of a folded node (shard index = thread registration
-/// order: 0 is the first thread that ever profiled, usually main).
+/// Per-shard slice of a folded node (shard index = shard creation order: 0
+/// is the first thread that ever profiled, usually main; a shard recycled
+/// from an exited thread sums every thread that held it).
 struct ProfileThreadSlice {
   int thread = 0;
   std::int64_t total_ns = 0;
@@ -107,7 +110,7 @@ struct ProfileSnapshot {
   std::int64_t cpu_total_ns = 0;
   std::uint64_t dropped = 0;
   bool enabled = false;
-  int threads = 0;
+  int threads = 0;  ///< shards folded: the most threads that profiled at once
 
   /// Walk "a/b/c" paths from the root; nullptr when absent.
   [[nodiscard]] const ProfileNode* find(std::string_view path) const;
@@ -133,8 +136,13 @@ class ProfileRegistry {
   /// workloads inside one process.
   void reset();
 
-  /// The calling thread's shard, created and registered on first use.
+  /// The calling thread's shard: adopted from an exited thread when one is
+  /// free, otherwise created and registered.
   ProfShard& shard();
+
+  /// Shards allocated so far (live plus free). Bounded by the peak number
+  /// of threads that profiled at once, not by how many ever did.
+  [[nodiscard]] std::size_t shard_count() const;
 
   /// Cold path of ProfScope: find-or-create the child of the current open
   /// cell named `name` (pointer match on the fast path, content match under
@@ -153,7 +161,7 @@ class ProfileRegistry {
                               const char* name);
 
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ProfShard>> shards_;
+  detail::ShardPool<ProfShard> pool_{mutex_};
 };
 
 namespace prof_detail {

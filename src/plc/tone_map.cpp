@@ -159,9 +159,7 @@ double ToneMap::pb_error_probability(
     // combining approximates summing the linear SNRs of the copies, i.e.
     // repetitions times the mean linear SNR. This is what makes broadcast
     // frames decodable on links whose data quality is poor (§8.1).
-    const double mean_linear =
-        kernels.sum_db_to_linear_n(actual_snr_db.data(), actual_snr_db.size()) /
-        static_cast<double>(actual_snr_db.size());
+    const double mean_linear = mean_linear_snr(actual_snr_db);
     const double combined_db =
         grid::linear_to_db(robo_repetitions_ * std::max(1e-6, mean_linear));
     const double ber =
@@ -175,6 +173,12 @@ double ToneMap::pb_error_probability(
                              actual_snr_db.size(), &weighted_ber, &total_bits);
   if (total_bits == 0.0) return 1.0;  // nothing loaded: undecodable
   return fec_waterfall(weighted_ber / total_bits);
+}
+
+double mean_linear_snr(std::span<const double> snr_db) {
+  double sum = 0.0;
+  for (const double db : snr_db) sum += grid::db_to_linear(db);
+  return sum / static_cast<double>(snr_db.size());
 }
 
 double ToneMapSet::average_ble_mbps() const {

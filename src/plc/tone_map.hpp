@@ -106,6 +106,11 @@ class ToneMap {
   void set_totals(double bits);
 };
 
+/// ROBO combining's mean linear SNR: the mean of 10^(snr_db/10) over the
+/// carriers, summed in carrier order (the ROBO branch of
+/// ToneMap::pb_error_probability).
+[[nodiscard]] double mean_linear_snr(std::span<const double> snr_db);
+
 /// The up-to-7 tone maps of a link direction: one per tone-map slot of the
 /// AC half cycle plus the ROBO default (§2.1).
 struct ToneMapSet {

@@ -1,10 +1,12 @@
 // efd::obs profiler: scope nesting folds into the expected tree, open
 // (unbalanced) scopes are credited their elapsed-so-far, cross-thread merge
-// is deterministic in structure and counts, depth overflow drops instead of
-// corrupting, and reset() isolates workloads inside one process.
+// is deterministic in structure and counts, exited threads' shards are
+// recycled, depth overflow drops instead of corrupting, and reset() isolates
+// workloads inside one process.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <latch>
 #include <string>
 #include <thread>
 
@@ -98,17 +100,22 @@ TEST_F(ObsProfileTest, EqualNameContentMergesAcrossDistinctPointers) {
 
 TEST_F(ObsProfileTest, CrossThreadMergeIsDeterministic) {
   // Two worker threads profile the same hierarchy; the fold merges them by
-  // name into one tree with per-thread slices. Threads are joined before
+  // name into one tree with per-thread slices. Each holds its shard until
+  // both have one, so neither adopts the other's. Threads are joined before
   // snapshotting, so the result is quiescent-exact; two snapshots of the
   // same quiescent state must agree in structure and counts.
-  const auto work = [] {
+  std::latch both_profiled{2};
+  const auto work = [&both_profiled] {
     for (int i = 0; i < 5; ++i) {
       EFD_PROF_SCOPE("proftest.worker");
       EFD_PROF_SCOPE("proftest.step");
     }
+    both_profiled.arrive_and_wait();
   };
-  std::thread(work).join();
-  std::thread(work).join();
+  std::thread a(work);
+  std::thread b(work);
+  a.join();
+  b.join();
   const auto snap = obs::ProfileRegistry::instance().snapshot();
   const obs::ProfileNode* worker = snap.find("proftest.worker");
   ASSERT_NE(worker, nullptr);
@@ -124,6 +131,22 @@ TEST_F(ObsProfileTest, CrossThreadMergeIsDeterministic) {
 
   const auto again = obs::ProfileRegistry::instance().snapshot();
   EXPECT_EQ(snap.to_json(), again.to_json());
+}
+
+TEST_F(ObsProfileTest, ExitedThreadsShardsAreRecycled) {
+  // At exit a thread hands its shard back and the next thread adopts it,
+  // totals included. So a thousand sequential threads sum exactly and
+  // allocate at most one shard.
+  auto& reg = obs::ProfileRegistry::instance();
+  const std::size_t before = reg.shard_count();
+  for (int i = 0; i < 1000; ++i) {
+    std::thread([] { EFD_PROF_SCOPE("proftest.recycled"); }).join();
+  }
+  const auto snap = reg.snapshot();
+  const obs::ProfileNode* node = snap.find("proftest.recycled");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->count, 1000u);
+  EXPECT_LE(reg.shard_count(), before + 1);
 }
 
 TEST_F(ObsProfileTest, ResetZeroesCountsAndTotals) {
