@@ -81,6 +81,28 @@ TEST_P(KernelSweep, DbConversionsMatchNaiveReference) {
   }
 }
 
+// The ROBO sum is one plain loop (plc::mean_linear_snr), not a kernel-table
+// entry: it must match the naive reference, and the ROBO branch of
+// pb_error_probability must come out bit-identical under every kernel table.
+TEST_P(KernelSweep, SumDbToLinearMatchesNaiveSum) {
+  const CarrierKernels& k = *GetParam();
+  sim::Rng rng{0x5e2u};
+  for (const std::size_t n : kSizes) {
+    const std::vector<double> db = random_db(rng, n, -40.0, 45.0);
+    double ref = 0.0;
+    for (double v : db) ref += std::pow(10.0, v / 10.0);
+    const double sum = plc::mean_linear_snr(db) * static_cast<double>(n);
+    EXPECT_NEAR(sum, ref, 1e-12 * ref) << k.name << " n=" << n;
+  }
+  plc::PhyParams phy;
+  const plc::ToneMap robo = plc::ToneMap::robo(phy);
+  const std::vector<double> snr =
+      random_db(rng, static_cast<std::size_t>(phy.band.n_carriers), -40.0, 10.0);
+  EXPECT_EQ(robo.pb_error_probability(snr, phy, k),
+            robo.pb_error_probability(snr, phy, grid::simd::scalar_kernels()))
+      << k.name;
+}
+
 TEST_P(KernelSweep, ElementwiseKernelsAreBitIdenticalToScalar) {
   const CarrierKernels& k = *GetParam();
   const CarrierKernels& sc = grid::simd::scalar_kernels();
@@ -315,17 +337,6 @@ TEST_P(KernelSweep, RoboMeanLinearSnrClampBoundary) {
               robo.pb_error_probability(edge, phy, grid::simd::scalar_kernels()),
               5e-3)
       << k.name << " above clamp";
-}
-
-TEST(RoboCombining, MeanLinearSnrMatchesNaiveSum) {
-  sim::Rng rng{0x5e2u};
-  for (const std::size_t n : kSizes) {
-    const std::vector<double> db = random_db(rng, n, -40.0, 45.0);
-    double ref = 0.0;
-    for (double v : db) ref += std::pow(10.0, v / 10.0);
-    ref /= static_cast<double>(n);
-    EXPECT_NEAR(plc::mean_linear_snr(db), ref, 1e-12 * ref) << " n=" << n;
-  }
 }
 
 std::string kernel_name(const ::testing::TestParamInfo<const CarrierKernels*>& i) {
