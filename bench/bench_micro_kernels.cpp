@@ -447,7 +447,7 @@ BENCHMARK(BM_ObsCounterIncDisabled);
 void BM_ObsHistogramObserve(benchmark::State& state) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  std::uint64_t v = 0;
+  [[maybe_unused]] std::uint64_t v = 0;
   for (auto _ : state) {
     EFD_HISTO_OBSERVE("bench.obs.histogram", ++v & 0xfff);
   }

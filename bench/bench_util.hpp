@@ -95,7 +95,9 @@ class JsonReporter {
     std::fprintf(f, "  \"metrics\": [\n");
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       const Metric& m = metrics_[i];
-      std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
+      // %.17g round-trips every double: counts such as
+      // sim_events_dispatched print exactly.
+      std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.17g, \"unit\": \"%s\"}%s\n",
                    escaped(m.name).c_str(), m.value, escaped(m.unit).c_str(),
                    i + 1 < metrics_.size() ? "," : "");
     }

@@ -1,5 +1,6 @@
 #include "src/hybrid/reorder.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/obs/obs.hpp"
@@ -81,6 +82,8 @@ void ReorderBuffer::on_packet(const net::Packet& p, sim::Time now, int tag) {
 void ReorderBuffer::clear() {
   timeout_.cancel();
   buffer_.clear();
+  slots_.clear();
+  free_slots_.clear();
   abandoned_.clear();
   next_seq_ = 0;
   started_ = false;
@@ -93,7 +96,22 @@ void ReorderBuffer::clear() {
 bool ReorderBuffer::buffer(const net::Packet& p, int tag) {
   const std::size_t i = buffer_.lower_bound(p.seq);
   if (buffer_.holds(i, p.seq)) return false;
-  buffer_.insert(i, Buffered{p, tag});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    // At most max_buffered + 1 copies are ever held: stop the doubling
+    // there instead of at the next power of two.
+    if (slots_.size() == slots_.capacity()) {
+      slots_.reserve(std::min(std::max<std::size_t>(8, 2 * slots_.size()),
+                              cfg_.max_buffered + 1));
+    }
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Buffered{p, tag});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = Buffered{p, tag};
+  }
+  buffer_.insert(i, BufferedRef{p.seq, slot});
   return true;
 }
 
@@ -140,19 +158,21 @@ void ReorderBuffer::overflow_valve() {
   if (buffer_.size() <= cfg_.max_buffered) return;
   EFD_COUNTER_INC("hybrid.reorder.overflows");
   warmup_ = false;
-  abandon_through(buffer_.front().p.seq);
-  next_seq_ = buffer_.front().p.seq;
+  abandon_through(buffer_.front().seq);
+  next_seq_ = buffer_.front().seq;
   drain();
   if (buffer_.empty()) blocked_ = false;
 }
 
 void ReorderBuffer::drain() {
-  while (!buffer_.empty() && buffer_.front().p.seq == next_seq_) {
+  while (!buffer_.empty() && buffer_.front().seq == next_seq_) {
     // Deliver from a copy, then pop: a listener that re-entered and grew
-    // the ring would otherwise be handed a dangling reference.
-    const Buffered head = buffer_.front();
+    // the slots would otherwise be handed a dangling reference.
+    const std::uint32_t slot = buffer_.front().slot;
+    const Buffered head = slots_[slot];
     deliver(head.p, head.tag);
     buffer_.pop_front();
+    free_slots_.push_back(slot);
     ++next_seq_;
   }
 }
@@ -183,8 +203,8 @@ void ReorderBuffer::on_timeout() {
     EFD_COUNTER_INC("hybrid.reorder.timeouts");
   }
   warmup_ = false;
-  abandon_through(buffer_.front().p.seq);
-  next_seq_ = buffer_.front().p.seq;
+  abandon_through(buffer_.front().seq);
+  next_seq_ = buffer_.front().seq;
   drain();
   if (!buffer_.empty()) {
     block_start_ = sim_.now();

@@ -19,7 +19,9 @@ namespace detail {
 /// grows lazily by doubling and is kept across clear(), so a steady stream
 /// allocates nothing once the ring has reached its working size. Lookup is
 /// a binary search; insert and erase shift toward the nearer end, so an
-/// arrival at either end is O(1).
+/// arrival at either end is O(1). Entries should be index-sized: a search
+/// and a shift touch every entry they pass, so bulky payloads belong in a
+/// side table the entry points into.
 template <typename T, typename SeqOf>
 class SeqRing {
  public:
@@ -178,8 +180,14 @@ class ReorderBuffer {
     net::Packet p;
     int tag;
   };
-  struct SeqOfBuffered {
-    std::uint32_t operator()(const Buffered& b) const { return b.p.seq; }
+  /// A buffered copy's place in the ring: its sequence, and the slot of
+  /// `slots_` holding the copy itself.
+  struct BufferedRef {
+    std::uint32_t seq;
+    std::uint32_t slot;
+  };
+  struct SeqOfRef {
+    std::uint32_t operator()(const BufferedRef& r) const { return r.seq; }
   };
   struct SeqOfSeq {
     std::uint32_t operator()(std::uint32_t s) const { return s; }
@@ -201,8 +209,12 @@ class ReorderBuffer {
   WinListener win_;
   Config cfg_;
   /// Out-of-order copies, sorted by sequence; never more than
-  /// max_buffered + 1 (the overflow valve runs after every insert).
-  detail::SeqRing<Buffered, SeqOfBuffered> buffer_;
+  /// max_buffered + 1 (the overflow valve runs after every insert). The
+  /// ring orders 8-byte references; the copies stay put in `slots_`, whose
+  /// free slots are listed in `free_slots_`.
+  detail::SeqRing<BufferedRef, SeqOfRef> buffer_;
+  std::vector<Buffered> slots_;
+  std::vector<std::uint32_t> free_slots_;
   /// Sequences skipped by a lock-forward, sorted; the max_buffered largest
   /// are kept so a late arrival can be told apart from a duplicate of a
   /// delivered packet.

@@ -5,7 +5,7 @@
 namespace efd::hybrid {
 
 namespace {
-void record_decision(int interface_index) {
+void record_decision([[maybe_unused]] int interface_index) {
   EFD_COUNTER_INC("hybrid.sched.decisions");
   EFD_HISTO_OBSERVE("hybrid.sched.interface", interface_index);
 }

@@ -76,7 +76,7 @@ class PlcChannel {
   struct SnrEntry {
     std::uint64_t epoch = 0;
     std::vector<double> snr_db;
-    /// pberr memo: key = tone map id * 4096 + quantized offset bucket.
+    /// pberr memo: key = (tone map id << 20) ^ (quantized offset bucket + 512).
     std::unordered_map<std::uint64_t, double> pberr;
   };
 

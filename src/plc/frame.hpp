@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "src/net/packet.hpp"
@@ -11,9 +10,11 @@ namespace efd::plc {
 
 /// One 512-byte physical block (PB, §2.2): the retransmission unit. A PB
 /// carries a slice of exactly one Ethernet packet in this model; the packet
-/// completes at the receiver when all its PBs have arrived.
+/// completes at the receiver when all its PBs have arrived. The packet's
+/// metadata is held by value: it is plain data, so a PB copies without a
+/// heap block or a reference count.
 struct PbUnit {
-  std::shared_ptr<const net::Packet> packet;
+  net::Packet packet;
   int index = 0;    ///< which PB of the packet (0-based)
   int total = 1;    ///< PBs the packet segments into
   int retries = 0;  ///< times this PB has been (re)transmitted
@@ -27,9 +28,12 @@ struct PlcFrame {
   int slot = 0;                ///< tone-map slot at transmission start
   std::uint32_t tone_map_id = 0;
   double ble_mbps = 0.0;       ///< the BLEs advertised in the SoF delimiter
-  /// Snapshot of the tone map in force at transmission time (the estimator
-  /// may retune while the frame is in flight).
-  ToneMap tone_map;
+  /// The tone map in force at transmission time, borrowed from the sender's
+  /// estimator (or the static ROBO map). Valid only inside the event that
+  /// built the frame: the medium computes every PB error probability in
+  /// that event, and no completion carries the pointer further (DESIGN.md
+  /// §7.2).
+  const ToneMap* tone_map = nullptr;
   bool robo = false;           ///< sent with the default/ROBO tone map
   bool sound = false;          ///< triggers channel estimation at receiver
   int n_symbols = 1;

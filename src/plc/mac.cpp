@@ -54,9 +54,8 @@ bool PlcMac::enqueue(const net::Packet& p) {
     EFD_COUNTER_INC("plc.mac.drops");
     return false;
   }
-  auto shared = std::make_shared<const net::Packet>(p);
   for (int i = 0; i < n; ++i) {
-    pb_queue_.push_back(PbUnit{shared, i, n, 0});
+    pb_queue_.push_back(PbUnit{p, i, n, 0});
   }
   queued_pbs_ += static_cast<std::size_t>(n);
   if (queued_pbs_ == static_cast<std::size_t>(n)) {
@@ -73,7 +72,7 @@ std::vector<net::Packet> PlcMac::take_queue() {
   std::vector<net::Packet> out;
   std::unordered_set<std::uint64_t> seen;
   for (const PbUnit& pb : pb_queue_) {
-    if (seen.insert(pb.packet->id).second) out.push_back(*pb.packet);
+    if (seen.insert(pb.packet.id).second) out.push_back(pb.packet);
   }
   pb_queue_.clear();
   queued_pbs_ = 0;
@@ -129,8 +128,10 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
   assert(!pb_queue_.empty());
   const PhyParams& phy = channel_.phy();
   PlcFrame frame;
+  frame.pbs.swap(spare_pbs_);
+  frame.pbs.clear();
   frame.src = self_;
-  frame.dst = pb_queue_.front().packet->dst;
+  frame.dst = pb_queue_.front().packet.dst;
   frame.slot = channel_.slot_at(now);
   frame.start = now;
 
@@ -152,7 +153,7 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
   }
   frame.tone_map_id = tm->id();
   frame.ble_mbps = tm->ble_mbps();
-  frame.tone_map = *tm;
+  frame.tone_map = tm;
 
   // Bits one OFDM symbol carries under this tone map (post-FEC payload),
   // discounted by MAC framing / AES alignment / per-PB CRC overhead.
@@ -170,7 +171,7 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
         std::ceil((n_pbs + 1) * PhyParams::pb_bits() / bits_per_symbol));
     if (n_pbs > 0 && symbols_with_next > max_symbols) break;
     // Frames are unicast to one destination; stop at a destination switch.
-    if (pb_queue_.front().packet->dst != frame.dst) break;
+    if (pb_queue_.front().packet.dst != frame.dst) break;
     frame.pbs.push_back(pb_queue_.front());
     pb_queue_.pop_front();
     --queued_pbs_;
@@ -186,7 +187,11 @@ PlcFrame PlcMac::build_frame(sim::Time now) {
   return frame;
 }
 
-void PlcMac::on_sack(const PlcFrame& frame, const std::vector<int>& errored_pbs) {
+void PlcMac::recycle(std::vector<PbUnit>&& pbs) {
+  if (pbs.capacity() > spare_pbs_.capacity()) spare_pbs_ = std::move(pbs);
+}
+
+void PlcMac::on_sack(std::vector<PbUnit>&& errored_pbs) {
   EFD_COUNTER_INC("plc.mac.sacks_rx");
   EFD_COUNTER_ADD("plc.mac.pb_errors", errored_pbs.size());
   stage_ = 0;
@@ -195,7 +200,7 @@ void PlcMac::on_sack(const PlcFrame& frame, const std::vector<int>& errored_pbs)
   // Selective retransmission: only corrupted PBs go back, to the queue
   // front, unless they exhausted their retry budget.
   for (auto it = errored_pbs.rbegin(); it != errored_pbs.rend(); ++it) {
-    PbUnit pb = frame.pbs[static_cast<std::size_t>(*it)];
+    PbUnit& pb = *it;
     if (pb.retries >= cfg_.max_pb_retries) continue;
     ++pb.retries;
     ++pb_retx_;
@@ -203,28 +208,31 @@ void PlcMac::on_sack(const PlcFrame& frame, const std::vector<int>& errored_pbs)
     pb_queue_.push_front(pb);
     ++queued_pbs_;
   }
+  recycle(std::move(errored_pbs));
   if (!pb_queue_.empty()) medium_.notify_ready(*this);
 }
 
-void PlcMac::on_no_sack(const PlcFrame& frame) {
-  if (frame.dst == net::kBroadcast) {
-    // Broadcast is never SACKed; nothing to retransmit.
-    stage_ = 0;
-    backoff_ = -1;
-    dc_ = cfg_.dc[0];
-    if (!pb_queue_.empty()) medium_.notify_ready(*this);
-    return;
-  }
+void PlcMac::on_no_sack(std::vector<PbUnit>&& pbs) {
   // Collision inferred: whole frame returns to the queue, stage escalates.
   EFD_COUNTER_INC("plc.mac.collisions");
-  for (auto it = frame.pbs.rbegin(); it != frame.pbs.rend(); ++it) {
-    PbUnit pb = *it;
+  for (auto it = pbs.rbegin(); it != pbs.rend(); ++it) {
+    PbUnit& pb = *it;
     if (pb.retries >= cfg_.max_pb_retries) continue;
     ++pb.retries;
     pb_queue_.push_front(pb);
     ++queued_pbs_;
   }
+  recycle(std::move(pbs));
   enter_next_stage();
+  if (!pb_queue_.empty()) medium_.notify_ready(*this);
+}
+
+void PlcMac::on_broadcast_sent(std::vector<PbUnit>&& pbs) {
+  // Broadcast is never SACKed; nothing to retransmit.
+  recycle(std::move(pbs));
+  stage_ = 0;
+  backoff_ = -1;
+  dc_ = cfg_.dc[0];
   if (!pb_queue_.empty()) medium_.notify_ready(*this);
 }
 
@@ -240,17 +248,16 @@ void PlcMac::on_frame_received(const PlcFrame& frame,
                           static_cast<int>(errored_pbs.size()), frame.n_symbols, now);
   }
 
-  // Reassemble packets from clean PBs.
-  std::vector<bool> errored(frame.pbs.size(), false);
-  for (int i : errored_pbs) errored[static_cast<std::size_t>(i)] = true;
+  // Reassemble packets from clean PBs; `errored_pbs` is ascending, so one
+  // cursor walks it alongside the frame.
+  auto next_bad = errored_pbs.begin();
   for (std::size_t i = 0; i < frame.pbs.size(); ++i) {
-    if (errored[i]) continue;
-    const PbUnit& pb = frame.pbs[i];
-    Reassembly& r = reassembly_[pb.packet->id];
-    if (r.total == 0) {
-      r.packet = pb.packet;
-      r.total = pb.total;
+    if (next_bad != errored_pbs.end() && static_cast<std::size_t>(*next_bad) == i) {
+      ++next_bad;
+      continue;
     }
+    const PbUnit& pb = frame.pbs[i];
+    ReassemblyTable::Entry& r = reassembly_.find_or_add(pb);
     const std::uint64_t bit = 1ULL << (pb.index % 64);
     if (r.received_mask & bit) continue;  // duplicate PB
     r.received_mask |= bit;
@@ -258,13 +265,72 @@ void PlcMac::on_frame_received(const PlcFrame& frame,
     if (have == r.total) {
       ++delivered_;
       EFD_COUNTER_INC("plc.mac.packets_delivered");
-      if (rx_) rx_(*r.packet, now);
-      reassembly_.erase(pb.packet->id);
+      // Deliver from a copy: the handler may re-enter this MAC.
+      const net::Packet packet = r.packet;
+      reassembly_.erase(r);
+      if (rx_) rx_(packet, now);
     }
   }
   // Bound the reassembly table: abandoned entries (all-PB-dropped packets)
   // must not accumulate over day-long runs.
   if (reassembly_.size() > 4096) reassembly_.clear();
+}
+
+std::size_t PlcMac::ReassemblyTable::home(std::uint64_t id) const {
+  // Fibonacci hashing: ids are drawn in sequential blocks.
+  return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> 32) &
+         (slots_.size() - 1);
+}
+
+PlcMac::ReassemblyTable::Entry& PlcMac::ReassemblyTable::find_or_add(
+    const PbUnit& pb) {
+  if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(pb.packet.id);; i = (i + 1) & mask) {
+    Entry& e = slots_[i];
+    if (e.total == 0) {
+      e = Entry{pb.packet, 0, pb.total};
+      ++size_;
+      return e;
+    }
+    if (e.packet.id == pb.packet.id) return e;
+  }
+}
+
+void PlcMac::ReassemblyTable::erase(Entry& e) {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole, so lookups never need tombstones.
+  const std::size_t mask = slots_.size() - 1;
+  auto hole = static_cast<std::size_t>(&e - slots_.data());
+  for (std::size_t i = (hole + 1) & mask; slots_[i].total != 0; i = (i + 1) & mask) {
+    const std::size_t h = home(slots_[i].packet.id);
+    // Move slot i into the hole unless its home lies cyclically in (hole, i].
+    if (((i - h) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole].total = 0;
+  --size_;
+}
+
+void PlcMac::ReassemblyTable::clear() {
+  for (Entry& e : slots_) e.total = 0;
+  size_ = 0;
+}
+
+void PlcMac::ReassemblyTable::grow() {
+  std::vector<Entry> old(slots_.empty() ? 8 : 2 * slots_.size());
+  old.swap(slots_);
+  size_ = 0;
+  for (const Entry& e : old) {
+    if (e.total == 0) continue;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(e.packet.id);
+    while (slots_[i].total != 0) i = (i + 1) & mask;
+    slots_[i] = e;
+    ++size_;
+  }
 }
 
 }  // namespace efd::plc

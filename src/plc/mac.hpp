@@ -3,7 +3,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 
 #include "src/net/interface.hpp"
 #include "src/plc/channel.hpp"
@@ -93,7 +92,7 @@ class PlcMac final : public net::Interface {
   /// Channel-access priority the station will signal in the priority-
   /// resolution slots: the priority of the frame at the queue head.
   [[nodiscard]] int current_priority() const {
-    return pb_queue_.empty() ? 0 : pb_queue_.front().packet->priority;
+    return pb_queue_.empty() ? 0 : pb_queue_.front().packet.priority;
   }
 
   /// Draw/continue the backoff counter for a contention round.
@@ -106,14 +105,18 @@ class PlcMac final : public net::Interface {
   /// Build the frame to transmit now (the station won contention).
   [[nodiscard]] PlcFrame build_frame(sim::Time now);
 
-  /// Outcome of a transmission: SACK arrived with `errored` PB indices
-  /// (positions within the frame), or no SACK at all (collision inferred).
-  void on_sack(const PlcFrame& frame, const std::vector<int>& errored_pbs);
-  void on_no_sack(const PlcFrame& frame);
+  /// Completion of a transmission; exactly one per frame, handed the
+  /// frame's PBs by move (their buffer is reused by the next build_frame).
+  /// A SACK arrived: `errored_pbs` are the frame's corrupted PBs, in frame
+  /// order. No SACK arrived: `pbs` is the whole frame (collision inferred).
+  /// A broadcast frame completes without any acknowledgement.
+  void on_sack(std::vector<PbUnit>&& errored_pbs);
+  void on_no_sack(std::vector<PbUnit>&& pbs);
+  void on_broadcast_sent(std::vector<PbUnit>&& pbs);
 
   /// A frame addressed to this station (or broadcast) was decodable;
-  /// `errored_pbs` lists corrupted PB positions. Feeds reassembly, delivery
-  /// and the receiver-side channel estimator.
+  /// `errored_pbs` lists corrupted PB positions in ascending order. Feeds
+  /// reassembly, delivery and the receiver-side channel estimator.
   void on_frame_received(const PlcFrame& frame, const std::vector<int>& errored_pbs,
                          sim::Time now);
 
@@ -131,6 +134,8 @@ class PlcMac final : public net::Interface {
  private:
   void redraw_backoff();
   void enter_next_stage();
+  /// Keep a completed frame's PB buffer for the next build_frame.
+  void recycle(std::vector<PbUnit>&& pbs);
 
   sim::Simulator& sim_;
   PlcMedium& medium_;
@@ -143,19 +148,38 @@ class PlcMac final : public net::Interface {
 
   std::deque<PbUnit> pb_queue_;
   std::size_t queued_pbs_ = 0;
+  std::vector<PbUnit> spare_pbs_;  ///< recycled frame buffer
   bool stalled_ = false;
 
   int stage_ = 0;
   int backoff_ = -1;  ///< -1: not drawn
   int dc_ = 0;
 
-  /// Receiver-side reassembly: packet id -> bitmap of received PBs.
-  struct Reassembly {
-    std::shared_ptr<const net::Packet> packet;
-    std::uint64_t received_mask = 0;
-    int total = 0;
+  /// Receiver-side reassembly: packet id -> bitmap of received PBs, in an
+  /// open-addressing table (linear probing, backward-shift erase). It is
+  /// never iterated, and its slots survive clear(), so steady-state
+  /// reassembly allocates nothing.
+  class ReassemblyTable {
+   public:
+    struct Entry {
+      net::Packet packet;  ///< the copy carried by the first PB received
+      std::uint64_t received_mask = 0;
+      int total = 0;  ///< 0 marks an empty slot
+    };
+    /// The entry for `pb`'s packet id, added from `pb` if absent.
+    Entry& find_or_add(const PbUnit& pb);
+    void erase(Entry& e);
+    void clear();
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    [[nodiscard]] std::size_t home(std::uint64_t id) const;
+    void grow();
+
+    std::vector<Entry> slots_;
+    std::size_t size_ = 0;
   };
-  std::unordered_map<std::uint64_t, Reassembly> reassembly_;
+  ReassemblyTable reassembly_;
 
   std::uint64_t frames_tx_ = 0;
   std::uint64_t pb_retx_ = 0;

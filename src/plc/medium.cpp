@@ -84,7 +84,7 @@ void PlcMedium::schedule_contention() {
   sim_.after_inline(delay, [this] { resolve_contention(); });
 }
 
-void PlcMedium::emit_sof(const PlcFrame& f) const {
+void PlcMedium::emit_sof(const PlcFrame& f, int n_pbs) const {
   if (sniffer_count_ == 0) return;
   const SofRecord rec{f.start,
                       f.end,
@@ -92,7 +92,7 @@ void PlcMedium::emit_sof(const PlcFrame& f) const {
                       f.dst,
                       f.slot,
                       f.ble_mbps,
-                      static_cast<int>(f.pbs.size()),
+                      n_pbs,
                       f.n_symbols,
                       f.robo,
                       f.sound,
@@ -106,7 +106,8 @@ void PlcMedium::resolve_contention() {
   contention_scheduled_ = false;
   if (busy_) return;
 
-  std::vector<PlcMac*> contenders;
+  std::vector<PlcMac*>& contenders = contenders_;
+  contenders.clear();
   for (PlcMac* m : macs_) {
     if (m->has_pending()) contenders.push_back(m);
   }
@@ -130,10 +131,10 @@ void PlcMedium::resolve_contention() {
   for (PlcMac* m : contenders) {
     min_backoff = std::min(min_backoff, m->current_backoff());
   }
-  std::vector<PlcMac*> winners;
+  winners_.clear();
   for (PlcMac* m : contenders) {
     if (m->current_backoff() == min_backoff) {
-      winners.push_back(m);
+      winners_.push_back(m);
     } else {
       m->on_medium_busy(min_backoff);
     }
@@ -141,36 +142,36 @@ void PlcMedium::resolve_contention() {
 
   busy_ = true;
   const sim::Time tx_start = sim_.now() + kPrs + (min_backoff + 1) * kSlot;
-  sim_.at_inline(tx_start, [this, winners] {
-    // A winner may have lost its backlog between contention resolution and
-    // the preamble (modem-reset / queue-stall fault injection); it cannot
-    // transmit. On the no-fault path every winner still has PBs pending.
-    std::vector<PlcFrame> frames;
-    std::vector<PlcMac*> senders;
-    frames.reserve(winners.size());
-    senders.reserve(winners.size());
-    for (PlcMac* m : winners) {
-      if (!m->has_pending()) continue;
-      senders.push_back(m);
-      frames.push_back(m->build_frame(sim_.now()));
-    }
-    if (frames.empty()) {
-      busy_ = false;
-      for (PlcMac* m : macs_) {
-        if (m->has_pending()) {
-          schedule_contention();
-          break;
-        }
-      }
-      return;
-    }
-    finish_round(std::move(frames), std::move(senders));
-  });
+  sim_.at_inline(tx_start, [this] { transmit_winners(); });
 }
 
-void PlcMedium::finish_round(std::vector<PlcFrame> frames,
-                             std::vector<PlcMac*> senders) {
-  assert(!frames.empty() && frames.size() == senders.size());
+void PlcMedium::transmit_winners() {
+  // A winner may have lost its backlog between contention resolution and
+  // the preamble (modem-reset / queue-stall fault injection); it cannot
+  // transmit. On the no-fault path every winner still has PBs pending.
+  round_frames_.clear();
+  round_senders_.clear();
+  for (PlcMac* m : winners_) {
+    if (!m->has_pending()) continue;
+    round_senders_.push_back(m);
+    round_frames_.push_back(m->build_frame(sim_.now()));
+  }
+  if (round_frames_.empty()) {
+    busy_ = false;
+    for (PlcMac* m : macs_) {
+      if (m->has_pending()) {
+        schedule_contention();
+        break;
+      }
+    }
+    return;
+  }
+  finish_round();
+}
+
+void PlcMedium::finish_round() {
+  std::vector<PlcFrame>& frames = round_frames_;
+  assert(!frames.empty() && frames.size() == round_senders_.size());
   const bool collision = frames.size() > 1;
   if (collision) ++collisions_;
   frames_ += frames.size();
@@ -179,8 +180,9 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
   for (const PlcFrame& f : frames) payload_end = std::max(payload_end, f.end);
 
   for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-    const PlcFrame& f = frames[fi];
-    PlcMac* sender = senders[fi];
+    PlcFrame& f = frames[fi];
+    PlcMac* sender = round_senders_[fi];
+    const int n_pbs = static_cast<int>(f.pbs.size());
 
     // SACK collision: frames of (nearly) equal length end together and so
     // do their receivers' SACKs — neither sender learns anything, both
@@ -225,8 +227,12 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
       if (sack_collides && f.dst != net::kBroadcast) return false;
       const double adv = advantage_db(rx_mac.id());
       if (collision && adv < kCaptureThresholdDb) return false;
-      double p = channel_.pb_error_probability(f.tone_map, f.src, rx_mac.id(),
+      // The borrowed map is the one build_frame picked: no retune can have
+      // touched it yet in this round (DESIGN.md §7.2).
+      assert(f.tone_map->id() == f.tone_map_id);
+      double p = channel_.pb_error_probability(*f.tone_map, f.src, rx_mac.id(),
                                                f.slot, f.start);
+      if (decode_observer_) decode_observer_(f, rx_mac.id(), p);
       if (fault_pberr_ > 0.0) {
         // Injected impulsive noise rides on top of the channel's own error
         // floor; the estimator cannot tell the two apart (exactly like
@@ -240,14 +246,22 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
             0.85 * max_overlap * std::exp(-(adv - kCaptureThresholdDb) / 8.0);
         p = 1.0 - (1.0 - p) * (1.0 - p_extra);
       }
-      std::vector<int> errored;
+      errored_.clear();
       for (std::size_t i = 0; i < f.pbs.size(); ++i) {
-        if (rng_.bernoulli(p)) errored.push_back(static_cast<int>(i));
+        if (rng_.bernoulli(p)) errored_.push_back(static_cast<int>(i));
       }
-      rx_mac.on_frame_received(f, errored, payload_end);
+      rx_mac.on_frame_received(f, errored_, payload_end);
       if (f.dst != net::kBroadcast) {
+        // The SACK hands the sender its corrupted PBs: compact them to the
+        // front (errored_ is ascending) and move the buffer along.
+        for (std::size_t k = 0; k < errored_.size(); ++k) {
+          f.pbs[k] = f.pbs[static_cast<std::size_t>(errored_[k])];
+        }
+        f.pbs.resize(errored_.size());
         const sim::Time sack_end = payload_end + kRifs + channel_.phy().delimiter;
-        sim_.at(sack_end, [sender, f, errored] { sender->on_sack(f, errored); });
+        sim_.at_inline(sack_end, [sender, pbs = std::move(f.pbs)]() mutable {
+          sender->on_sack(std::move(pbs));
+        });
       }
       return true;
     };
@@ -257,7 +271,9 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
       for (PlcMac* m : macs_) {
         if (m != sender && receive_at(*m)) decodable = true;
       }
-      sim_.at(payload_end, [sender, f] { sender->on_no_sack(f); });
+      sim_.at_inline(payload_end, [sender, pbs = std::move(f.pbs)]() mutable {
+        sender->on_broadcast_sent(std::move(pbs));
+      });
     } else {
       PlcMac* rx_mac = nullptr;
       for (PlcMac* m : macs_) {
@@ -270,11 +286,16 @@ void PlcMedium::finish_round(std::vector<PlcFrame> frames,
       if (!decodable) {
         // No SACK will come: the sender times out and infers a collision.
         const sim::Time timeout = payload_end + kRifs + channel_.phy().delimiter;
-        sim_.at(timeout, [sender, f] { sender->on_no_sack(f); });
+        sim_.at_inline(timeout, [sender, pbs = std::move(f.pbs)]() mutable {
+          sender->on_no_sack(std::move(pbs));
+        });
       }
     }
-    if (decodable || !collision) emit_sof(f);
+    if (decodable || !collision) emit_sof(f, n_pbs);
   }
+  // The round is over: drop the frames and with them every borrowed map.
+  frames.clear();
+  round_senders_.clear();
 
   // Medium idles after the longest payload plus the SACK exchange.
   const sim::Time idle_at = payload_end + kRifs + channel_.phy().delimiter;

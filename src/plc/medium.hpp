@@ -72,6 +72,16 @@ class PlcMedium {
   void set_fault_pb_error(double p) { fault_pberr_ = p; }
   [[nodiscard]] double fault_pb_error() const { return fault_pberr_; }
 
+  /// Observe every decode attempt that reaches the PB draws: the frame (its
+  /// borrowed tone map is valid for the call), the receiver and the
+  /// channel's PB error probability under that map, before collision and
+  /// fault penalties. Empty by default.
+  using DecodeObserver =
+      std::function<void(const PlcFrame&, net::StationId rx, double pb_error)>;
+  void set_decode_observer(DecodeObserver observer) {
+    decode_observer_ = std::move(observer);
+  }
+
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_; }
@@ -80,8 +90,9 @@ class PlcMedium {
  private:
   void schedule_contention();
   void resolve_contention();
-  void finish_round(std::vector<PlcFrame> frames, std::vector<PlcMac*> senders);
-  void emit_sof(const PlcFrame& frame) const;
+  void transmit_winners();
+  void finish_round();
+  void emit_sof(const PlcFrame& frame, int n_pbs) const;
   void beacon_tick();
 
   /// Sniffer slot map entry: `fn` empty means the slot is free and its index
@@ -98,6 +109,14 @@ class PlcMedium {
   std::vector<SnifferSlot> sniffers_;
   std::vector<std::uint32_t> sniffer_free_;
   std::size_t sniffer_count_ = 0;
+  DecodeObserver decode_observer_;
+  // Per-round scratch, reused so a round allocates nothing. One round is in
+  // flight at a time: busy_ holds from contention resolution to idle.
+  std::vector<PlcMac*> contenders_;
+  std::vector<PlcMac*> winners_;
+  std::vector<PlcFrame> round_frames_;
+  std::vector<PlcMac*> round_senders_;
+  std::vector<int> errored_;
   bool busy_ = false;
   bool contention_scheduled_ = false;
   double fault_pberr_ = 0.0;  ///< injected impulsive-noise PB error floor

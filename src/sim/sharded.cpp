@@ -307,7 +307,9 @@ void ShardedSimulator::dump_stall_diagnostics(
                "(run target %" PRId64 " ns); per-shard state:\n",
                stalled, static_cast<double>(cfg_.watchdog.budget_ns) / 1e9,
                end_exclusive_ns);
-  std::uint64_t stalled_inbox = 0;
+  // [[maybe_unused]]: only the EFD_GAUGE_SET below reads it, and the macro
+  // does not evaluate its arguments when obs is compiled out.
+  [[maybe_unused]] std::uint64_t stalled_inbox = 0;
   for (int i = 0; i < n_shards_; ++i) {
     const Shard& s = *shards_[static_cast<std::size_t>(i)];
     std::uint64_t inbox = 0;
@@ -329,7 +331,7 @@ void ShardedSimulator::dump_stall_diagnostics(
                  s.cells.size(), i == stalled ? "  <-- stalled" : "");
   }
   if (stalled >= 0) {
-    const Shard& s = *shards_[static_cast<std::size_t>(stalled)];
+    [[maybe_unused]] const Shard& s = *shards_[static_cast<std::size_t>(stalled)];
     EFD_GAUGE_SET("sim.shard.stall.shard", stalled);
     EFD_GAUGE_SET("sim.shard.stall.horizon_ns",
                   s.horizon.load(std::memory_order_acquire));

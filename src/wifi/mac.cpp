@@ -35,7 +35,8 @@ void WifiMedium::schedule_contention() {
 void WifiMedium::resolve_contention() {
   contention_scheduled_ = false;
   if (busy_) return;
-  std::vector<WifiMac*> contenders;
+  std::vector<WifiMac*>& contenders = contenders_;
+  contenders.clear();
   for (WifiMac* m : macs_) {
     if (m->has_pending()) contenders.push_back(m);
   }
@@ -45,45 +46,45 @@ void WifiMedium::resolve_contention() {
   for (WifiMac* m : contenders) {
     min_backoff = std::min(min_backoff, m->current_backoff());
   }
-  std::vector<WifiMac*> winners;
+  winners_.clear();
   for (WifiMac* m : contenders) {
     if (m->current_backoff() == min_backoff) {
-      winners.push_back(m);
+      winners_.push_back(m);
     } else {
       m->on_medium_busy(min_backoff);
     }
   }
   busy_ = true;
   const sim::Time tx_start = sim_.now() + (min_backoff + 1) * kSlot;
-  sim_.at_inline(tx_start, [this, winners] {
-    // Fault injection can empty a winner's queue (modem reset) or stall it
-    // between the backoff win and the preamble; skip those senders. The
-    // no-fault path never takes the branch.
-    std::vector<WifiFrame> frames;
-    std::vector<WifiMac*> senders;
-    frames.reserve(winners.size());
-    senders.reserve(winners.size());
-    for (WifiMac* m : winners) {
-      if (!m->has_pending()) continue;
-      senders.push_back(m);
-      frames.push_back(m->build_frame(sim_.now()));
-    }
-    if (frames.empty()) {
-      busy_ = false;
-      for (WifiMac* m : macs_) {
-        if (m->has_pending()) {
-          schedule_contention();
-          break;
-        }
-      }
-      return;
-    }
-    finish_round(std::move(frames), std::move(senders));
-  });
+  sim_.at_inline(tx_start, [this] { transmit_winners(); });
 }
 
-void WifiMedium::finish_round(std::vector<WifiFrame> frames,
-                              std::vector<WifiMac*> senders) {
+void WifiMedium::transmit_winners() {
+  // Fault injection can empty a winner's queue (modem reset) or stall it
+  // between the backoff win and the preamble; skip those senders. The
+  // no-fault path never takes the branch.
+  round_frames_.clear();
+  round_senders_.clear();
+  for (WifiMac* m : winners_) {
+    if (!m->has_pending()) continue;
+    round_senders_.push_back(m);
+    round_frames_.push_back(m->build_frame(sim_.now()));
+  }
+  if (round_frames_.empty()) {
+    busy_ = false;
+    for (WifiMac* m : macs_) {
+      if (m->has_pending()) {
+        schedule_contention();
+        break;
+      }
+    }
+    return;
+  }
+  finish_round();
+}
+
+void WifiMedium::finish_round() {
+  std::vector<WifiFrame>& frames = round_frames_;
   const bool collision = frames.size() > 1;
   if (collision) {
     ++collisions_;
@@ -94,8 +95,8 @@ void WifiMedium::finish_round(std::vector<WifiFrame> frames,
   for (const WifiFrame& f : frames) payload_end = std::max(payload_end, f.end);
 
   for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-    const WifiFrame& f = frames[fi];
-    WifiMac* sender = senders[fi];
+    WifiFrame& f = frames[fi];
+    WifiMac* sender = round_senders_[fi];
     for (const auto& fn : listeners_) {
       fn(McsRecord{f.start, f.src, f.dst, f.mcs, Mcs::rate_mbps(f.mcs)});
     }
@@ -121,21 +122,33 @@ void WifiMedium::finish_round(std::vector<WifiFrame> frames,
     if (decodable) {
       const double snr = channel_.snr_db(f.src, f.dst, f.start) - jam_db_;
       const double p = Mcs::mpdu_error_probability(f.mcs, snr);
-      std::vector<int> failed;
+      failed_.clear();
       for (std::size_t i = 0; i < f.mpdus.size(); ++i) {
-        if (rng_.bernoulli(p)) failed.push_back(static_cast<int>(i));
+        if (rng_.bernoulli(p)) failed_.push_back(static_cast<int>(i));
       }
-      rx_mac->on_frame_received(f, failed, payload_end);
+      rx_mac->on_frame_received(f, failed_, payload_end);
+      // The BlockAck hands the sender its lost MPDUs: compact them to the
+      // front (failed_ is ascending) and move the buffer along.
+      for (std::size_t k = 0; k < failed_.size(); ++k) {
+        f.mpdus[k] = f.mpdus[static_cast<std::size_t>(failed_[k])];
+      }
+      f.mpdus.resize(failed_.size());
       const sim::Time ack_end = payload_end + kSifs + sender->config().blockack;
-      sim_.at(ack_end, [sender, f, failed] { sender->on_block_ack(f, failed); });
+      sim_.at_inline(ack_end, [sender, mpdus = std::move(f.mpdus)]() mutable {
+        sender->on_block_ack(std::move(mpdus));
+      });
     } else {
       const sim::Time timeout = payload_end + kSifs + sender->config().blockack;
-      sim_.at(timeout, [sender, f] { sender->on_no_ack(f); });
+      sim_.at_inline(timeout, [sender, mpdus = std::move(f.mpdus)]() mutable {
+        sender->on_no_ack(std::move(mpdus));
+      });
     }
   }
 
   const sim::Time idle_at =
-      payload_end + kSifs + senders[0]->config().blockack;
+      payload_end + kSifs + round_senders_[0]->config().blockack;
+  frames.clear();
+  round_senders_.clear();
   sim_.at_inline(idle_at, [this] {
     busy_ = false;
     for (WifiMac* m : macs_) {
@@ -167,8 +180,7 @@ bool WifiMac::enqueue(const net::Packet& p) {
     ++drops_;
     return false;
   }
-  queue_.push_back(p);
-  retry_counts_.push_back(0);
+  queue_.push_back(Mpdu{p, 0});
   if (queue_.size() == 1) medium_.notify_ready(*this);
   return true;
 }
@@ -190,8 +202,10 @@ void WifiMac::on_medium_busy(int slots_elapsed) {
 WifiFrame WifiMac::build_frame(sim::Time now) {
   assert(!queue_.empty());
   WifiFrame f;
+  f.mpdus.swap(spare_mpdus_);
+  f.mpdus.clear();
   f.src = self_;
-  f.dst = queue_.front().dst;
+  f.dst = queue_.front().packet.dst;
   f.start = now;
 
   // Rate control: a stale, noisy view of the receiver SNR (the transmitter
@@ -209,15 +223,13 @@ WifiFrame WifiMac::build_frame(sim::Time now) {
   const double rate_mbps = Mcs::rate_mbps(mcs);
   sim::Time airtime = cfg_.preamble;
   while (!queue_.empty() && static_cast<int>(f.mpdus.size()) < cfg_.max_ampdu) {
-    if (queue_.front().dst != f.dst) break;
+    if (queue_.front().packet.dst != f.dst) break;
     const auto mpdu_air = sim::microseconds(
-        static_cast<double>(queue_.front().size_bytes + 40) * 8.0 / rate_mbps);
+        static_cast<double>(queue_.front().packet.size_bytes + 40) * 8.0 / rate_mbps);
     if (!f.mpdus.empty() && airtime + mpdu_air > cfg_.max_airtime) break;
     airtime += mpdu_air;
     f.mpdus.push_back(queue_.front());
-    f.retries.push_back(retry_counts_.front());
     queue_.pop_front();
-    retry_counts_.pop_front();
   }
   f.end = now + airtime;
   EFD_COUNTER_INC("wifi.mac.frames_tx");
@@ -225,50 +237,52 @@ WifiFrame WifiMac::build_frame(sim::Time now) {
   return f;
 }
 
-void WifiMac::on_block_ack(const WifiFrame& frame, const std::vector<int>& failed) {
+void WifiMac::requeue(const std::vector<Mpdu>& mpdus) {
+  for (auto it = mpdus.rbegin(); it != mpdus.rend(); ++it) {
+    if (it->retries >= cfg_.max_retries) {
+      ++drops_;
+      EFD_COUNTER_INC("wifi.mac.drops");
+      continue;
+    }
+    EFD_COUNTER_INC("wifi.mac.retries");
+    queue_.push_front(Mpdu{it->packet, it->retries + 1});
+  }
+}
+
+void WifiMac::recycle(std::vector<Mpdu>&& mpdus) {
+  if (mpdus.capacity() > spare_mpdus_.capacity()) spare_mpdus_ = std::move(mpdus);
+}
+
+void WifiMac::on_block_ack(std::vector<Mpdu>&& failed) {
   cw_ = cfg_.cw_min;
   backoff_ = -1;
   EFD_COUNTER_ADD("wifi.mac.mpdu_errors", failed.size());
-  for (auto it = failed.rbegin(); it != failed.rend(); ++it) {
-    const auto i = static_cast<std::size_t>(*it);
-    if (frame.retries[i] >= cfg_.max_retries) {
-      ++drops_;
-      EFD_COUNTER_INC("wifi.mac.drops");
-      continue;
-    }
-    EFD_COUNTER_INC("wifi.mac.retries");
-    queue_.push_front(frame.mpdus[i]);
-    retry_counts_.push_front(frame.retries[i] + 1);
-  }
+  requeue(failed);
+  recycle(std::move(failed));
   if (!queue_.empty()) medium_.notify_ready(*this);
 }
 
-void WifiMac::on_no_ack(const WifiFrame& frame) {
+void WifiMac::on_no_ack(std::vector<Mpdu>&& mpdus) {
   EFD_COUNTER_INC("wifi.mac.no_acks");
   cw_ = std::min(cw_ * 2, cfg_.cw_max);
-  for (auto i = frame.mpdus.size(); i-- > 0;) {
-    if (frame.retries[i] >= cfg_.max_retries) {
-      ++drops_;
-      EFD_COUNTER_INC("wifi.mac.drops");
-      continue;
-    }
-    EFD_COUNTER_INC("wifi.mac.retries");
-    queue_.push_front(frame.mpdus[i]);
-    retry_counts_.push_front(frame.retries[i] + 1);
-  }
+  requeue(mpdus);
+  recycle(std::move(mpdus));
   redraw_backoff();
   if (!queue_.empty()) medium_.notify_ready(*this);
 }
 
 void WifiMac::on_frame_received(const WifiFrame& frame, const std::vector<int>& failed,
                                 sim::Time now) {
-  std::vector<bool> bad(frame.mpdus.size(), false);
-  for (int i : failed) bad[static_cast<std::size_t>(i)] = true;
+  // `failed` is ascending, so one cursor walks it alongside the frame.
+  auto next_bad = failed.begin();
   for (std::size_t i = 0; i < frame.mpdus.size(); ++i) {
-    if (bad[i]) continue;
+    if (next_bad != failed.end() && static_cast<std::size_t>(*next_bad) == i) {
+      ++next_bad;
+      continue;
+    }
     ++delivered_;
     EFD_COUNTER_INC("wifi.mac.packets_delivered");
-    if (rx_) rx_(frame.mpdus[i], now);
+    if (rx_) rx_(frame.mpdus[i].packet, now);
   }
 }
 

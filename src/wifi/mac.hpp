@@ -15,12 +15,17 @@ namespace efd::wifi {
 
 class WifiMac;
 
+/// One MPDU: a packet plus the times it has been retransmitted.
+struct Mpdu {
+  net::Packet packet;
+  int retries = 0;
+};
+
 /// An 802.11 A-MPDU on the air.
 struct WifiFrame {
   net::StationId src = 0;
   net::StationId dst = 0;
-  std::vector<net::Packet> mpdus;
-  std::vector<int> retries;  ///< per-MPDU retry count, parallel to mpdus
+  std::vector<Mpdu> mpdus;
   int mcs = 0;
   sim::Time start;
   sim::Time end;
@@ -68,7 +73,8 @@ class WifiMedium {
  private:
   void schedule_contention();
   void resolve_contention();
-  void finish_round(std::vector<WifiFrame> frames, std::vector<WifiMac*> senders);
+  void transmit_winners();
+  void finish_round();
 
   sim::Simulator& sim_;
   const WifiChannel& channel_;
@@ -79,6 +85,13 @@ class WifiMedium {
   bool contention_scheduled_ = false;
   double jam_db_ = 0.0;  ///< injected interferer SNR penalty at receivers
   std::uint64_t collisions_ = 0;
+  // Per-round scratch, reused so a round allocates nothing. One round is in
+  // flight at a time: busy_ holds from contention resolution to idle.
+  std::vector<WifiMac*> contenders_;
+  std::vector<WifiMac*> winners_;
+  std::vector<WifiFrame> round_frames_;
+  std::vector<WifiMac*> round_senders_;
+  std::vector<int> failed_;
 };
 
 /// 802.11n MAC for one station: DCF backoff, A-MPDU aggregation with
@@ -109,17 +122,15 @@ class WifiMac final : public net::Interface {
   bool enqueue(const net::Packet& p) override;
   [[nodiscard]] std::size_t queue_length() const override { return queue_.size(); }
   void set_rx_handler(RxHandler handler) override { rx_ = std::move(handler); }
-  void clear_queue() override {
-    queue_.clear();
-    retry_counts_.clear();
-  }
+  void clear_queue() override { queue_.clear(); }
 
   /// Remove and return the queued packets; failover salvages a dead
   /// interface's backlog through this.
   std::vector<net::Packet> take_queue() override {
-    std::vector<net::Packet> out(queue_.begin(), queue_.end());
+    std::vector<net::Packet> out;
+    out.reserve(queue_.size());
+    for (const Mpdu& m : queue_) out.push_back(m.packet);
     queue_.clear();
-    retry_counts_.clear();
     return out;
   }
 
@@ -138,7 +149,6 @@ class WifiMac final : public net::Interface {
   /// Modem reset fault: flush the queue and restart the backoff machinery.
   void reset_modem() {
     queue_.clear();
-    retry_counts_.clear();
     cw_ = cfg_.cw_min;
     backoff_ = -1;
   }
@@ -148,8 +158,13 @@ class WifiMac final : public net::Interface {
   [[nodiscard]] int current_backoff();
   void on_medium_busy(int slots_elapsed);
   [[nodiscard]] WifiFrame build_frame(sim::Time now);
-  void on_block_ack(const WifiFrame& frame, const std::vector<int>& failed);
-  void on_no_ack(const WifiFrame& frame);
+  /// Completion of a transmission; exactly one per frame, handed the
+  /// frame's MPDUs by move (their buffer is reused by the next
+  /// build_frame). A BlockAck arrived: `failed` are the MPDUs it reports
+  /// lost, in frame order. No ACK arrived: `mpdus` is the whole A-MPDU.
+  void on_block_ack(std::vector<Mpdu>&& failed);
+  void on_no_ack(std::vector<Mpdu>&& mpdus);
+  /// `failed` lists lost MPDU positions in ascending order.
   void on_frame_received(const WifiFrame& frame, const std::vector<int>& failed,
                          sim::Time now);
 
@@ -159,6 +174,10 @@ class WifiMac final : public net::Interface {
 
  private:
   void redraw_backoff();
+  /// Requeue `mpdus` at the queue front, dropping those out of retries.
+  void requeue(const std::vector<Mpdu>& mpdus);
+  /// Keep a completed frame's MPDU buffer for the next build_frame.
+  void recycle(std::vector<Mpdu>&& mpdus);
 
   sim::Simulator& sim_;
   WifiMedium& medium_;
@@ -168,8 +187,8 @@ class WifiMac final : public net::Interface {
   Config cfg_;
   RxHandler rx_;
 
-  std::deque<net::Packet> queue_;
-  std::deque<int> retry_counts_;  ///< parallel to queue_
+  std::deque<Mpdu> queue_;
+  std::vector<Mpdu> spare_mpdus_;  ///< recycled frame buffer
   bool stalled_ = false;
   int cw_ = 16;
   int backoff_ = -1;

@@ -26,22 +26,34 @@ inline std::atomic<std::uint64_t> g_allocations{0};
 /// rounded-up — enough to pin "how much" as well as "how often").
 inline std::atomic<std::uint64_t> g_allocated_bytes{0};
 
+/// Requests of at least kLargeBlockBytes since process start: pins "no big
+/// buffer is copied" without pinning the exact small-block count.
+inline constexpr std::size_t kLargeBlockBytes = 4096;
+inline std::atomic<std::uint64_t> g_large_allocations{0};
+
 /// Allocations performed while an instance is alive. Construct, run the code
 /// under test, then read `count()` / `bytes()`.
 class AllocationWindow {
  public:
   AllocationWindow()
-      : start_(g_allocations.load()), start_bytes_(g_allocated_bytes.load()) {}
+      : start_(g_allocations.load()),
+        start_bytes_(g_allocated_bytes.load()),
+        start_large_(g_large_allocations.load()) {}
   [[nodiscard]] std::uint64_t count() const {
     return g_allocations.load() - start_;
   }
   [[nodiscard]] std::uint64_t bytes() const {
     return g_allocated_bytes.load() - start_bytes_;
   }
+  /// Allocations of kLargeBlockBytes or more.
+  [[nodiscard]] std::uint64_t large_count() const {
+    return g_large_allocations.load() - start_large_;
+  }
 
  private:
   std::uint64_t start_;
   std::uint64_t start_bytes_;
+  std::uint64_t start_large_;
 };
 
 }  // namespace efd::testsupport
@@ -59,6 +71,9 @@ void* operator new(std::size_t size) {
   efd::testsupport::g_allocations.fetch_add(1, std::memory_order_relaxed);
   efd::testsupport::g_allocated_bytes.fetch_add(size,
                                                 std::memory_order_relaxed);
+  if (size >= efd::testsupport::kLargeBlockBytes) {
+    efd::testsupport::g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }

@@ -108,6 +108,22 @@ def is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def shape_equal(got, want):
+    """Exact equality, read at the baseline's precision.
+
+    Benches write values with %.17g, but the committed baselines were
+    recorded with %.6g: against a baseline value that %.6g reproduces, a
+    current value matches when it prints the same at %.6g -- the comparison
+    the gate made when both sides were written at six digits. Any other
+    baseline value must be matched exactly.
+    """
+    if got == want:
+        return True
+    if not is_number(got) or not is_number(want):
+        return False
+    return float(f"{want:.6g}") == want and float(f"{got:.6g}") == want
+
+
 def is_gbench(doc):
     return isinstance(doc.get("benchmarks"), list)
 
@@ -325,7 +341,7 @@ def main():
             continue
         if name not in cur_m:
             failures.append(f"shape metric '{name}' missing from {args.current}")
-        elif cur_m[name] != want:
+        elif not shape_equal(cur_m[name], want):
             failures.append(
                 f"shape metric '{name}' drifted: {cur_m[name]!r} != baseline {want!r}")
         else:

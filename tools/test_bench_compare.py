@@ -63,6 +63,26 @@ class BenchCompareTest(CompareTestBase):
         self.assertEqual(r.returncode, 1)
         self.assertIn("drifted", r.stderr)
 
+    def test_six_digit_baseline_reads_full_precision_at_six_digits(self):
+        base = doc([metric("pct_faster_on_plc", 61.4943)])
+        same = doc([metric("pct_faster_on_plc", 61.494252873563219)])
+        r = self.run_compare(self.write("cur.json", same),
+                             self.write("base.json", base))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        drifted = doc([metric("pct_faster_on_plc", 61.49445)])
+        r = self.run_compare(self.write("cur2.json", drifted),
+                             self.write("base.json", base))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("drifted", r.stderr)
+
+    def test_full_precision_baseline_must_match_exactly(self):
+        base = doc([metric("pct_faster_on_plc", 61.494252873563219)])
+        cur = doc([metric("pct_faster_on_plc", 61.494252873563)])
+        r = self.run_compare(self.write("cur.json", cur),
+                             self.write("base.json", base))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("drifted", r.stderr)
+
     def test_missing_shape_metric_fails(self):
         base = doc([metric("median_mbps", 87.5)])
         cur = doc([])
